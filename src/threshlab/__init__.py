@@ -46,18 +46,13 @@ from .operators import (
     ShrinkageFunction,
     ThresholdingOperator,
     custom_operator,
-    custom_shrink_threshold,
     hard_operator,
-    hard_threshold,
     lq_operator,
-    lq_threshold,
     parse_operator,
     prox_l1,
     reciprocal_operator,
-    reciprocal_threshold,
     select_support,
     soft_operator,
-    soft_threshold_fixed_s,
 )
 from .regression import (
     DesignSpec,

@@ -373,23 +373,29 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The ``threshlab`` parser and its subcommand parsers, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="threshlab", description="thresholding-operator experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def common(p):
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="key=value file; flags override")
 
-    p = sub.add_parser("concavity-curve", help="closed-form concavity vs rho table")
+    p = add("concavity-curve", help="closed-form concavity vs rho table")
     common(p)
     p.add_argument("--rho-grid", default="0.01:0.99:0.01")
     p.set_defaults(func=cmd_concavity_curve)
 
-    p = sub.add_parser("converge", help="solver trace on a random certified quadratic")
+    p = add("converge", help="solver trace on a random certified quadratic")
     common(p)
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--sparsity", type=int, default=6)
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("trap", help="stationary-trap demonstration")
+    p = add("trap", help="stationary-trap demonstration")
     common(p)
     p.add_argument("--operator", default="hard")
     p.add_argument("--kappa", type=float, default=1.5)
@@ -409,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.set_defaults(func=cmd_trap)
 
-    p = sub.add_parser("prox-trap", help="penalized soft-thresholding failure sweep")
+    p = add("prox-trap", help="penalized soft-thresholding failure sweep")
     common(p)
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=cmd_prox_trap)
 
-    p = sub.add_parser("regress", help="sparse regression Monte Carlo")
+    p = add("regress", help="sparse regression Monte Carlo")
     common(p)
     p.add_argument("--design", choices=list(reg.DESIGN_KINDS), default="iid-gaussian")
     p.add_argument("--n", type=int, default=200)
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-lasso", action="store_true")
     p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("lowrank-demo", help="lifted-operator demonstration")
+    p = add("lowrank-demo", help="lifted-operator demonstration")
     common(p)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--m", type=int, default=8)
@@ -441,34 +447,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=50)
     p.set_defaults(func=cmd_lowrank_demo)
 
-    p = sub.add_parser("validate", help="run the built-in invariant suite")
+    p = add("validate", help="run the built-in invariant suite")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     # first pass to locate --config; its values become defaults, flags override
     ns, _ = parser.parse_known_args(argv)
     if getattr(ns, "config", None):
-        raw = _load_config(ns.config)
-        for action in parser._subparsers._group_actions[0].choices[ns.command]._actions:
-            if action.dest in raw:
-                val = raw[action.dest]
-                if action.type is not None:
-                    val = action.type(val)
-                elif isinstance(action.default, bool):
-                    val = val.lower() in ("1", "true", "yes")
-                elif action.nargs in ("+", "*"):
-                    val = val.split()
-                parser._subparsers._group_actions[0].choices[ns.command].set_defaults(
-                    **{action.dest: val}
-                )
+        command = commands[ns.command]
+        for key, val in _load_config(ns.config).items():
+            if key not in vars(ns) or key in ("command", "func"):
+                continue
+            default = command.get_default(key)
+            if isinstance(default, bool):
+                val = val.lower() in ("1", "true", "yes")
+            elif isinstance(default, list):
+                val = val.split()
+            elif isinstance(default, (int, float)):
+                val = type(default)(val)
+            command.set_defaults(**{key: val})
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -21,7 +21,7 @@ from .concavity import (
     empirical_concavity,
 )
 from .operators import InvalidParameterError, ThresholdingOperator
-from .solver import IterateTrace, QuadraticObjective, StepRule
+from .solver import IterateTrace, QuadraticObjective, StepRule, _run
 
 RANK_EPS = 1e-10  # singular values below RANK_EPS * s_max count as zero
 
@@ -238,41 +238,11 @@ def iterate_threshold_matrix(
     T: int = 100,
 ) -> IterateTrace:
     """Matrix analogue of iterate_threshold with Frobenius geometry."""
-    rule = rule or StepRule.fixed()
-    X = np.asarray(X0, dtype=float).copy()
-    if numerical_rank(X) > lifted.s:
+    if numerical_rank(np.asarray(X0, dtype=float)) > lifted.s:
         raise InvalidParameterError("X0 must have rank <= s")
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    floor = 1.0 / obj.beta
-    xs = np.empty((T,) + X.shape)
-    etas = np.empty(T)
-    fs = np.empty(T)
-    f0 = obj.value(X)
-    for t in range(T):
-        G = obj.grad(X)
-        fX = obj.value(X)
-        if rule.kind == "fixed":
-            X, eta = lifted(X - floor * G), floor
-        else:
-            eta = rule.eta_init if rule.eta_init is not None else 16.0 / obj.beta
-            accepted = False
-            while eta > floor:
-                cand = lifted(X - eta * G)
-                step = cand - X
-                bound = fX + float(np.sum(G * step)) + float(np.sum(step * step)) / (
-                    2.0 * eta
-                )
-                if obj.value(cand) <= bound:
-                    X, accepted = cand, True
-                    break
-                eta = max(eta * rule.shrink, floor)
-            if not accepted:
-                X, eta = lifted(X - floor * G), floor
-        xs[t] = X
-        etas[t] = eta
-        fs[t] = obj.value(X)
-    return IterateTrace(np.asarray(X0, dtype=float).copy(), f0, xs, etas, fs, obj)
+    return _run(obj, lambda V, eta: lifted(V), X0, rule, T)
 
 
 def build_matrix_trap(
@@ -284,20 +254,12 @@ def build_matrix_trap(
     seed: int = 0,
 ):
     """Diagonal embedding of the vector stationary trap (square p x p case)."""
-    from .adversarial import build_trap, complete_orthobasis
+    from .adversarial import _trap_objective, build_trap
 
     trap = build_trap(op, query, alpha, beta, budget=budget, seed=seed)
     p = trap.x0.shape[0]
     X0 = embed_diag(trap.x0, p, p)
     Y = embed_diag(trap.y, p, p)
     Z = embed_diag(trap.z, p, p)
-    u1 = (Y - X0).ravel()
-    U = complete_orthobasis(u1 / np.linalg.norm(u1))
-    eigs = np.full(p * p, beta)
-    eigs[0] = alpha
-    H = (U * eigs) @ U.T
-    H = 0.5 * (H + H.T)
-    vec = QuadraticObjective(
-        H, m=X0.ravel(), g=(-beta * (Z - X0)).ravel(), alpha=alpha, beta=beta
-    )
+    vec, _ = _trap_objective(X0.ravel(), Y.ravel(), Z.ravel(), alpha, beta)
     return MatrixObjective(vec, (p, p)), X0, Y, Z, trap.gamma_hat

@@ -14,6 +14,12 @@ thresholding, ``sigma == 1`` shrinks every kept entry by exactly ``tau``
 (fixed-sparsity soft thresholding), and the reciprocal and l_q kinds
 interpolate between the two.
 
+Each kind is a ``ShrinkageFunction`` that supplies its ``entry_map(vals,
+tau)``, the map it applies to the kept entries; one driver selects the
+support, computes tau and hands the kept entries to that map.  Hard, soft,
+reciprocal and l_q evaluate it in closed form; table and callable kinds use
+the generic formula above.
+
 All functions accept arrays of shape ``(..., d)`` and act along the last axis,
 so batched evaluation is free.  Everything is pure: no shared mutable state,
 safe to call from any number of threads.
@@ -95,44 +101,6 @@ def _apply_entrywise(z, s: int, entry_map) -> np.ndarray:
     return out
 
 
-def hard_threshold(z, s: int) -> np.ndarray:
-    """Keep the ``s`` largest-magnitude entries exactly, zero the rest."""
-    return _apply_entrywise(z, s, lambda vals, tau: vals)
-
-
-def soft_threshold_fixed_s(z, s: int) -> np.ndarray:
-    """Soft-shrink all entries by the smallest level achieving s-sparsity.
-
-    That level equals tau, the (s+1)-st largest magnitude; entries with
-    ``|z_i| <= tau`` become exactly zero.  Tied boundary entries all shrink to
-    zero, so the output can have fewer than ``s`` nonzeros.
-    """
-    return _apply_entrywise(
-        z, s, lambda vals, tau: np.sign(vals) * (np.abs(vals) - tau)
-    )
-
-
-def reciprocal_threshold(z, s: int, c: float) -> np.ndarray:
-    """Reciprocal thresholding with parameter ``c`` in [0, 1].
-
-    A kept entry maps to ``sign(z_i) * (|z_i| + sqrt(z_i^2 - tau^2(1-c^2)))/2``,
-    the larger root t of ``z_i = t + tau^2 (1-c^2) / (4 t)``.  ``c = 1`` is
-    hard thresholding; ``c = 0`` is the universal reciprocal operator.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise InvalidParameterError(f"reciprocal parameter c={c} not in [0, 1]")
-    a = 1.0 - c * c
-
-    def entry_map(vals, tau):
-        mag = np.abs(vals)
-        # the max() guards rows the driver discards (tau == 0 placeholders);
-        # on kept entries |vals| >= tau makes the radicand nonnegative
-        rad = np.maximum(vals * vals - tau * tau * a, 0.0)
-        return np.sign(vals) * (0.5 * mag + 0.5 * np.sqrt(rad))
-
-    return _apply_entrywise(z, s, entry_map)
-
-
 def _lq_shrink_coefficient(q: float) -> float:
     return q * (2.0 - 2.0 * q) ** (1.0 - q) / (2.0 - q) ** (2.0 - q)
 
@@ -168,28 +136,6 @@ def lq_larger_root(t, q: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def lq_threshold(z, s: int, q: float) -> np.ndarray:
-    """l_q thresholding via its shrinkage-function characterization.
-
-    Each kept entry with normalized magnitude ``t = |z_i|/tau`` maps to
-    ``tau * x`` where x is the larger root of the l_q root equation, with the
-    sign restored.  ``sigma(1) = q/(2-q)``.
-    """
-    if not 0.0 < q < 1.0:
-        raise InvalidParameterError(f"lq parameter q={q} not in (0, 1)")
-
-    def entry_map(vals, tau):
-        with np.errstate(over="ignore"):
-            t = np.maximum(np.abs(vals) / tau, 1.0)
-        # beyond the cap the shrinkage tau * sigma(t) is below one ulp of vals
-        extreme = t > 1e15
-        t_safe = np.where(extreme, 1.0, t)
-        shrunk = np.sign(vals) * (tau * lq_larger_root(t_safe, q))
-        return np.where(extreme, vals, shrunk)
-
-    return _apply_entrywise(z, s, entry_map)
-
-
 def prox_l1(z, t: float) -> np.ndarray:
     """Soft shrinkage at a fixed level ``t >= 0`` (prox of t * l1-norm)."""
     if t < 0:
@@ -202,29 +148,68 @@ def prox_l1(z, t: float) -> np.ndarray:
 # shrinkage functions and the operator wrapper
 
 
+def _sigma_entry_map(sigma):
+    """Entry map ``sign(v) * (|v| - tau * sigma(|v|/tau))`` for a given sigma."""
+
+    def entry_map(vals, tau):
+        with np.errstate(over="ignore"):
+            t = np.minimum(np.maximum(np.abs(vals) / tau, 1.0), 1e15)
+        return np.sign(vals) * (np.abs(vals) - tau * sigma(t))
+
+    return entry_map
+
+
 @dataclass(frozen=True)
 class ShrinkageFunction:
     """Relative shrinkage rule sigma: [1, inf) -> [0, 1], nonincreasing.
 
     ``kind`` is one of hard | soft | reciprocal | lq | custom; ``param`` holds
     c (reciprocal) or q (lq).  ``sigma`` evaluates on arrays of normalized
-    magnitudes t >= 1.
+    magnitudes t >= 1.  ``entry_map(vals, tau)`` applies the same rule to the
+    kept entries ``vals`` (shape ``(..., s)``) at the per-row level ``tau > 0``
+    (shape ``(..., 1)``), returning ``sign(v) * (|v| - tau * sigma(|v|/tau))``;
+    the built-in kinds evaluate it in closed form.  Parameter ranges are
+    checked here, once, by the factories.
     """
 
     kind: str
     param: Optional[float]
     sigma: Callable[[np.ndarray], np.ndarray]
+    entry_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
     def hard(cls) -> "ShrinkageFunction":
-        return cls("hard", None, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        """sigma == 0: kept entries pass through exactly."""
+        return cls(
+            "hard",
+            None,
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            lambda vals, tau: vals,
+        )
 
     @classmethod
     def soft(cls) -> "ShrinkageFunction":
-        return cls("soft", None, lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        """sigma == 1: every kept entry shrinks by exactly tau.
+
+        tau is the smallest soft-threshold level achieving s-sparsity; tied
+        boundary entries all shrink to zero, so the output can have fewer
+        than ``s`` nonzeros.
+        """
+        return cls(
+            "soft",
+            None,
+            lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            lambda vals, tau: np.sign(vals) * (np.abs(vals) - tau),
+        )
 
     @classmethod
     def reciprocal(cls, c: float) -> "ShrinkageFunction":
+        """Reciprocal thresholding with parameter ``c`` in [0, 1].
+
+        A kept entry maps to ``sign(z_i) * (|z_i| + sqrt(z_i^2 - tau^2(1-c^2)))/2``,
+        the larger root t of ``z_i = t + tau^2 (1-c^2) / (4 t)``.  ``c = 1`` is
+        hard thresholding; ``c = 0`` is the universal reciprocal operator.
+        """
         if not 0.0 <= c <= 1.0:
             raise InvalidParameterError(f"reciprocal parameter c={c} not in [0, 1]")
         a = 1.0 - c * c
@@ -234,13 +219,41 @@ class ShrinkageFunction:
             # cancellation-free form of (t - sqrt(t^2 - a)) / 2
             return a / (2.0 * (t + np.sqrt(t * t - a)))
 
-        return cls("reciprocal", c, sigma)
+        def entry_map(vals, tau):
+            mag = np.abs(vals)
+            # the max() guards rows the driver discards (tau == 0 placeholders);
+            # on kept entries |vals| >= tau makes the radicand nonnegative
+            rad = np.maximum(vals * vals - tau * tau * a, 0.0)
+            return np.sign(vals) * (0.5 * mag + 0.5 * np.sqrt(rad))
+
+        return cls("reciprocal", c, sigma, entry_map)
 
     @classmethod
     def lq(cls, q: float) -> "ShrinkageFunction":
+        """l_q thresholding via its shrinkage-function characterization.
+
+        Each kept entry with normalized magnitude ``t = |z_i|/tau`` maps to
+        ``tau * x`` where x is the larger root of the l_q root equation, with
+        the sign restored.  ``sigma(1) = q/(2-q)``.
+        """
         if not 0.0 < q < 1.0:
             raise InvalidParameterError(f"lq parameter q={q} not in (0, 1)")
-        return cls("lq", q, lambda t: np.asarray(t, dtype=float) - lq_larger_root(t, q))
+
+        def entry_map(vals, tau):
+            with np.errstate(over="ignore"):
+                t = np.maximum(np.abs(vals) / tau, 1.0)
+            # beyond the cap the shrinkage tau * sigma(t) is below one ulp of vals
+            extreme = t > 1e15
+            t_safe = np.where(extreme, 1.0, t)
+            shrunk = np.sign(vals) * (tau * lq_larger_root(t_safe, q))
+            return np.where(extreme, vals, shrunk)
+
+        return cls(
+            "lq",
+            q,
+            lambda t: np.asarray(t, dtype=float) - lq_larger_root(t, q),
+            entry_map,
+        )
 
     @classmethod
     def from_table(cls, t_grid, sigma_values) -> "ShrinkageFunction":
@@ -255,11 +268,27 @@ class ShrinkageFunction:
             raise InvalidParameterError("table sigma values must lie in [0, 1]")
         if np.any(np.diff(sig) > 0.0):
             raise InvalidParameterError("table sigma values must be nonincreasing")
-        return cls("custom", None, lambda t: np.interp(t, t_grid, sig))
+
+        def sigma(t):
+            return np.interp(t, t_grid, sig)
+
+        return cls("custom", None, sigma, _sigma_entry_map(sigma))
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ShrinkageFunction":
-        return cls("custom", None, fn)
+        """sigma supplied by ``fn``; its values are checked on every evaluation.
+
+        Raises ShrinkOutOfRangeError if ``fn`` strays outside [0, 1] on any
+        evaluated point.
+        """
+
+        def sigma(t):
+            sig = np.asarray(fn(t), dtype=float)
+            if np.any(sig < -1e-12) or np.any(sig > 1.0 + 1e-12):
+                raise ShrinkOutOfRangeError("sigma returned a value outside [0, 1]")
+            return sig
+
+        return cls("custom", None, sigma, _sigma_entry_map(sigma))
 
     def sigma1(self) -> float:
         """sigma(1), the maximum relative shrinkage."""
@@ -276,25 +305,13 @@ class ThresholdingOperator:
 
     s: int
     shrink: ShrinkageFunction
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.s < 1:
             raise InvalidSparsityError(f"sparsity s={self.s} must be >= 1")
-        if self.tie_break != "lowest-index":
-            raise InvalidParameterError(f"unknown tie_break {self.tie_break!r}")
 
     def __call__(self, z) -> np.ndarray:
-        kind = self.shrink.kind
-        if kind == "hard":
-            return hard_threshold(z, self.s)
-        if kind == "soft":
-            return soft_threshold_fixed_s(z, self.s)
-        if kind == "reciprocal":
-            return reciprocal_threshold(z, self.s, self.shrink.param)
-        if kind == "lq":
-            return lq_threshold(z, self.s, self.shrink.param)
-        return custom_shrink_threshold(z, self)
+        return _apply_entrywise(z, self.s, self.shrink.entry_map)
 
     def with_sparsity(self, s: int) -> "ThresholdingOperator":
         return replace(self, s=s)
@@ -307,26 +324,6 @@ class ThresholdingOperator:
         if kind == "lq":
             return f"lq:{self.shrink.param:g}"
         return kind
-
-
-def custom_shrink_threshold(z, op: ThresholdingOperator) -> np.ndarray:
-    """Generic driver applying ``op.shrink.sigma`` on the selected support.
-
-    Raises ShrinkOutOfRangeError if sigma strays outside [0, 1] on any
-    evaluated point.  With sigma == 0 this reproduces hard thresholding
-    exactly; with sigma == 1 it shrinks every kept entry by exactly tau.
-    """
-    sigma = op.shrink.sigma
-
-    def entry_map(vals, tau):
-        with np.errstate(over="ignore"):
-            t = np.minimum(np.maximum(np.abs(vals) / tau, 1.0), 1e15)
-        sig = np.asarray(sigma(t), dtype=float)
-        if np.any(sig < -1e-12) or np.any(sig > 1.0 + 1e-12):
-            raise ShrinkOutOfRangeError("sigma returned a value outside [0, 1]")
-        return np.sign(vals) * (np.abs(vals) - tau * sig)
-
-    return _apply_entrywise(z, op.s, entry_map)
 
 
 def hard_operator(s: int) -> ThresholdingOperator:

@@ -174,32 +174,54 @@ class IterateTrace:
         return self.xs[self.best_index]
 
 
-def _backtrack(obj, x_prev, fx, gx, apply_step, rule):
-    """Shared backtracking: returns (x_next, eta) honoring the 1/beta floor."""
+def _step(obj, x, fx, gx, step_map, rule):
+    """One gradient step from x, where fx = f(x) and gx = grad f(x).
+
+    ``step_map(v, eta)`` maps the gradient point ``v = x - eta * gx`` to the
+    next iterate.  The adaptive rule backtracks until the curvature condition
+    holds, never below the 1/beta floor.  Returns ``(x_next, eta, f(x_next))``.
+    """
     floor = 1.0 / obj.beta
-    if rule.kind == "fixed":
-        return apply_step(floor), floor
-    eta = rule.eta_init if rule.eta_init is not None else 16.0 / obj.beta
-    while eta > floor:
-        cand = apply_step(eta)
-        step = cand - x_prev
-        bound = fx + float(gx @ step) + float(step @ step) / (2.0 * eta)
-        if obj.value(cand) <= bound:
-            return cand, eta
-        eta = max(eta * rule.shrink, floor)
+    if rule.kind == "adaptive":
+        eta = rule.eta_init if rule.eta_init is not None else 16.0 / obj.beta
+        while eta > floor:
+            cand = step_map(x - eta * gx, eta)
+            step = cand - x
+            f_cand = obj.value(cand)
+            if f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta):
+                return cand, eta, f_cand
+            eta = max(eta * rule.shrink, floor)
     # at the floor the curvature condition holds by restricted smoothness
-    return apply_step(floor), floor
+    x_next = step_map(x - floor * gx, floor)
+    return x_next, floor, obj.value(x_next)
+
+
+def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
+    """Run T steps of ``_step`` from x0; ``stop(x)`` true ends the run early."""
+    rule = rule or StepRule.fixed()
+    x = x0 = np.array(x0, dtype=float)
+    # lists, not (T, ...) arrays: T is only a cap when ``stop`` ends runs early
+    xs, etas, fs = [], [], []
+    f0 = fx = obj.value(x)
+    for _ in range(T):
+        x, eta, fx = _step(obj, x, fx, obj.grad(x), step_map, rule)
+        xs.append(x)
+        etas.append(eta)
+        fs.append(fx)
+        if stop is not None and stop(x):
+            break
+    return IterateTrace(
+        x0, f0, np.asarray(xs), np.asarray(etas, dtype=float), np.asarray(fs), obj
+    )
 
 
 def line_search_step(obj: QuadraticObjective, x_prev, op: ThresholdingOperator, rule: StepRule):
     """One thresholded gradient step; adaptive rule backtracks to the floor."""
     x_prev = np.asarray(x_prev, dtype=float)
-    gx = obj.grad(x_prev)
-    if rule.kind == "fixed":
-        eta = 1.0 / obj.beta
-        return op(x_prev - eta * gx), eta
-    fx = obj.value(x_prev)
-    return _backtrack(obj, x_prev, fx, gx, lambda eta: op(x_prev - eta * gx), rule)
+    x_next, eta, _ = _step(
+        obj, x_prev, obj.value(x_prev), obj.grad(x_prev), lambda v, eta: op(v), rule
+    )
+    return x_next, eta
 
 
 def iterate_threshold(
@@ -210,22 +232,11 @@ def iterate_threshold(
     T: int = 100,
 ) -> IterateTrace:
     """Run x_t = Psi_s(x_{t-1} - eta_t grad f(x_{t-1})) for T steps."""
-    rule = rule or StepRule.fixed()
-    x = np.asarray(x0, dtype=float).copy()
-    if np.count_nonzero(x) > op.s:
+    if np.count_nonzero(np.asarray(x0, dtype=float)) > op.s:
         raise InvalidParameterError("x0 must be s-sparse")
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    xs = np.empty((T, obj.dim))
-    etas = np.empty(T)
-    fs = np.empty(T)
-    f0 = obj.value(x)
-    for t in range(T):
-        x, eta = line_search_step(obj, x, op, rule)
-        xs[t] = x
-        etas[t] = eta
-        fs[t] = obj.value(x)
-    return IterateTrace(np.asarray(x0, dtype=float).copy(), f0, xs, etas, fs, obj)
+    return _run(obj, lambda v, eta: op(v), x0, rule, T)
 
 
 def iterate_prox(
@@ -243,31 +254,14 @@ def iterate_prox(
     """
     if lam < 0:
         raise InvalidParameterError("lam must be nonnegative")
-    rule = rule or StepRule.fixed()
-    x = np.asarray(x0, dtype=float).copy()
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    xs, etas, fs = [], [], []
-    f0 = obj.value(x)
-    for _ in range(T):
-        gx = obj.grad(x)
-        fx = obj.value(x)
-        x, eta = _backtrack(
-            obj, x, fx, gx, lambda e: prox_l1(x - e * gx, lam * e), rule
-        )
-        xs.append(x)
-        etas.append(eta)
-        fs.append(obj.value(x))
-        if kkt_tol is not None and kkt_residual_l1(obj, x, lam) <= kkt_tol:
-            break
-    return IterateTrace(
-        np.asarray(x0, dtype=float).copy(),
-        f0,
-        np.asarray(xs),
-        np.asarray(etas),
-        np.asarray(fs),
-        obj,
-    )
+
+    def kkt_met(x):
+        return kkt_residual_l1(obj, x, lam) <= kkt_tol
+
+    stop = kkt_met if kkt_tol is not None else None
+    return _run(obj, lambda v, eta: prox_l1(v, lam * eta), x0, rule, T, stop)
 
 
 def kkt_residual_l1(obj: QuadraticObjective, x, lam: float) -> float:

@@ -282,3 +282,13 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     header2, _, rows2 = read_csv(out2)
     assert header2["iters"] == "3" and len(rows2) == 3
     assert header2["dim"] == "10"
+    # list and bool keys: operators splits on spaces, with_lasso parses as a flag
+    rcfg = tmp_path / "regress.cfg"
+    rcfg.write_text("n=40\nd=60\nreps=1\niters=5\noperators=rt:0 hard\nwith_lasso=1\n")
+    out3 = tmp_path / "r.csv"
+    assert main(["regress", "--config", str(rcfg), "--out", str(out3)]) == 0
+    header3, columns3, rows3 = read_csv(out3)
+    assert header3["operators"] == "rt:0+hard" and header3["with_lasso"] == "1"
+    assert header3["n"] == "40" and header3["d"] == "60"
+    ops = [r[columns3.index("operator")] for r in rows3]
+    assert sorted(ops) == ["hard", "lasso", "rt:0"]

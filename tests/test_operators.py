@@ -13,19 +13,14 @@ from threshlab.operators import (
     ShrinkageFunction,
     ShrinkOutOfRangeError,
     custom_operator,
-    custom_shrink_threshold,
     hard_operator,
-    hard_threshold,
     lq_larger_root,
     lq_operator,
-    lq_threshold,
     parse_operator,
     prox_l1,
     reciprocal_operator,
-    reciprocal_threshold,
     select_support,
     soft_operator,
-    soft_threshold_fixed_s,
 )
 
 ALL_OPERATORS = ["hard", "soft", "rt:0", "rt:0.5", "rt:1", "lq:0.4", "lq:0.666666666667"]
@@ -80,37 +75,37 @@ class TestSelectSupport:
 class TestHardThreshold:
     def test_example(self):
         np.testing.assert_array_equal(
-            hard_threshold([3.0, -1.0, 2.0, 0.5], 2), [3.0, 0.0, 2.0, 0.0]
+            hard_operator(2)([3.0, -1.0, 2.0, 0.5]), [3.0, 0.0, 2.0, 0.0]
         )
 
     def test_identity_on_sparse(self):
-        np.testing.assert_array_equal(hard_threshold([0.0, 0.0, 7.0], 1), [0.0, 0.0, 7.0])
+        np.testing.assert_array_equal(hard_operator(1)([0.0, 0.0, 7.0]), [0.0, 0.0, 7.0])
 
     def test_two_entries(self):
-        np.testing.assert_array_equal(hard_threshold([2.0, 1.0], 1), [2.0, 0.0])
+        np.testing.assert_array_equal(hard_operator(1)([2.0, 1.0]), [2.0, 0.0])
 
     def test_entries_kept_exactly(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(9)
-        out = hard_threshold(z, 4)
+        out = hard_operator(4)(z)
         kept = out != 0
         assert np.array_equal(out[kept], z[kept])
 
 
 class TestSoftThresholdFixedS:
     def test_example(self):
-        np.testing.assert_allclose(soft_threshold_fixed_s([3.0, -1.0, 2.0], 1), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(soft_operator(1)([3.0, -1.0, 2.0]), [1.0, 0.0, 0.0])
 
     def test_no_shrink_when_sparse(self):
-        np.testing.assert_array_equal(soft_threshold_fixed_s([5.0], 1), [5.0])
+        np.testing.assert_array_equal(soft_operator(1)([5.0]), [5.0])
 
     def test_tie_case_matches_oracle(self):
         # the coordinatewise definition keeps both tied entries at s=2
         z = [2.0, -2.0, 1.0]
         np.testing.assert_array_equal(
-            soft_threshold_fixed_s(z, 2), oracle_soft_fixed_s(z, 2)
+            soft_operator(2)(z), oracle_soft_fixed_s(z, 2)
         )
-        np.testing.assert_array_equal(soft_threshold_fixed_s(z, 2), [1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(soft_operator(2)(z), [1.0, -1.0, 0.0])
 
     def test_exhaustive_small_cases_match_oracle(self):
         values = [0.0, 1.0, 2.0, -1.0, -2.0]
@@ -118,7 +113,7 @@ class TestSoftThresholdFixedS:
             for z in itertools.product(values, repeat=d):
                 for s in range(1, d + 1):
                     np.testing.assert_array_equal(
-                        soft_threshold_fixed_s(list(z), s),
+                        soft_operator(s)(list(z)),
                         oracle_soft_fixed_s(list(z), s),
                         err_msg=f"z={z} s={s}",
                     )
@@ -126,22 +121,22 @@ class TestSoftThresholdFixedS:
 
 class TestReciprocalThreshold:
     def test_example_c0(self):
-        out = reciprocal_threshold([2.0, 1.0], 1, 0.0)
+        out = reciprocal_operator(1, 0.0)([2.0, 1.0])
         np.testing.assert_allclose(out, [1.0 + np.sqrt(3.0) / 2.0, 0.0], atol=1e-12)
         # larger root of t + 0.25/t = 2, i.e. t^2 - 2t + 0.25 = 0
         t = out[0]
         assert abs(t * t - 2.0 * t + 0.25) < 1e-12
 
     def test_c1_is_hard(self):
-        np.testing.assert_array_equal(reciprocal_threshold([2.0, 1.0], 1, 1.0), [2.0, 0.0])
+        np.testing.assert_array_equal(reciprocal_operator(1, 1.0)([2.0, 1.0]), [2.0, 0.0])
 
     def test_sign_equivariance_example(self):
-        out = reciprocal_threshold([-2.0, 1.0], 1, 0.0)
+        out = reciprocal_operator(1, 0.0)([-2.0, 1.0])
         np.testing.assert_allclose(out, [-(1.0 + np.sqrt(3.0) / 2.0), 0.0], atol=1e-12)
 
     def test_invalid_c(self):
         with pytest.raises(InvalidParameterError):
-            reciprocal_threshold([1.0, 2.0], 1, 1.5)
+            reciprocal_operator(1, 1.5)
 
     def test_root_identity(self):
         # each kept output value t satisfies z_i = t + tau^2 (1-c^2) / (4 t)
@@ -150,7 +145,7 @@ class TestReciprocalThreshold:
             z = rng.standard_normal(10) * 3.0
             s = 4
             _, tau = select_support(z, s)
-            out = reciprocal_threshold(z, s, c)
+            out = reciprocal_operator(s, c)(z)
             kept = out != 0
             t = np.abs(out[kept])
             recon = t + tau**2 * (1.0 - c * c) / (4.0 * t)
@@ -159,10 +154,10 @@ class TestReciprocalThreshold:
 
 class TestLqThreshold:
     def test_sigma1_example(self):
-        np.testing.assert_allclose(lq_threshold([1.0, 1.0], 1, 2.0 / 3.0), [0.5, 0.0], atol=1e-11)
+        np.testing.assert_allclose(lq_operator(1, 2.0 / 3.0)([1.0, 1.0]), [0.5, 0.0], atol=1e-11)
 
     def test_large_entry_bounds(self):
-        out = lq_threshold([10.0, 1.0], 1, 2.0 / 3.0)
+        out = lq_operator(1, 2.0 / 3.0)([10.0, 1.0])
         sigma1 = (2.0 / 3.0) / (2.0 - 2.0 / 3.0)
         assert 10.0 - sigma1 < out[0] < 10.0
 
@@ -178,14 +173,14 @@ class TestLqThreshold:
         # shrinkage at the boundary approaches tau * q/(2-q) -> 1
         shrinks = []
         for q in [0.9, 0.99]:
-            out = lq_threshold([2.0, 1.0], 1, q)
+            out = lq_operator(1, q)([2.0, 1.0])
             shrinks.append(2.0 - out[0])
         assert shrinks[0] < shrinks[1] < 1.0
         assert abs(shrinks[1] - 0.99 / (2 - 0.99)) < 0.05
 
     def test_invalid_q(self):
         with pytest.raises(InvalidParameterError):
-            lq_threshold([1.0, 2.0], 1, 1.0)
+            lq_operator(1, 1.0)
 
     def test_root_bracket_guard(self):
         # the bracket cannot fail for t >= 1; feeding t < 1 must trip the guard
@@ -199,27 +194,27 @@ class TestCustomShrink:
     def test_sigma_zero_is_hard(self):
         op = custom_operator(2, ShrinkageFunction.from_callable(lambda t: np.zeros_like(t)))
         z = [3.0, -1.0, 2.0, 0.5]
-        np.testing.assert_array_equal(custom_shrink_threshold(z, op), hard_threshold(z, 2))
+        np.testing.assert_array_equal(op(z), hard_operator(2)(z))
 
     def test_reciprocal_sigma_matches(self):
         sig = ShrinkageFunction.from_callable(lambda t: (t - np.sqrt(t * t - 1.0)) / 2.0)
         op = custom_operator(1, sig)
         np.testing.assert_allclose(
-            custom_shrink_threshold([2.0, 1.0], op),
-            reciprocal_threshold([2.0, 1.0], 1, 0.0),
+            op([2.0, 1.0]),
+            reciprocal_operator(1, 0.0)([2.0, 1.0]),
             atol=1e-12,
         )
 
     def test_sigma_one_shrinks_by_tau(self):
         op = custom_operator(1, ShrinkageFunction.from_callable(lambda t: np.ones_like(t)))
         z = np.array([3.0, 1.0])
-        out = custom_shrink_threshold(z, op)
+        out = op(z)
         np.testing.assert_allclose(out, [2.0, 0.0])
 
     def test_out_of_range_sigma_raises(self):
         op = custom_operator(1, ShrinkageFunction.from_callable(lambda t: t))
         with pytest.raises(ShrinkOutOfRangeError):
-            custom_shrink_threshold([3.0, 1.0], op)
+            op([3.0, 1.0])
 
     def test_table_interpolation_clamps(self):
         sig = ShrinkageFunction.from_table([1.0, 2.0], [0.4, 0.2])
@@ -368,7 +363,9 @@ def test_parse_operator():
 
 def test_operator_objects():
     op = reciprocal_operator(2, 0.0)
-    np.testing.assert_allclose(op([2.0, 1.0, 0.5]), reciprocal_threshold([2.0, 1.0, 0.5], 2, 0.0))
+    # tau = 0.5; kept entries map to (|z| + sqrt(z^2 - tau^2)) / 2
+    expected = [(2.0 + np.sqrt(3.75)) / 2.0, (1.0 + np.sqrt(0.75)) / 2.0, 0.0]
+    np.testing.assert_allclose(op([2.0, 1.0, 0.5]), expected)
     assert op.with_sparsity(1).s == 1
     assert hard_operator(2).name == "hard"
     assert soft_operator(2).name == "soft"
@@ -378,8 +375,11 @@ def test_operator_objects():
 def test_batched_rows_match_single():
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((6, 7))
-    for name in ALL_OPERATORS:
-        op = parse_operator(name, 3)
+    custom = [
+        custom_operator(3, ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1])),
+        custom_operator(3, ShrinkageFunction.from_callable(lambda t: 0.5 / t)),
+    ]
+    for op in [parse_operator(name, 3) for name in ALL_OPERATORS] + custom:
         batch = op(Z)
         for i in range(Z.shape[0]):
             np.testing.assert_array_equal(batch[i], op(Z[i]))

@@ -260,6 +260,7 @@ class TestIterateProx:
         obj = QuadraticObjective.random_instance(6, 1.0, 2.0, rng, linear_scale=0.5)
         trace = iterate_prox(obj, 0.2, np.zeros(6), None, 5000, kkt_tol=1e-8)
         assert len(trace.fs) < 5000
+        assert len(trace.xs) == len(trace.etas) == len(trace.fs)
         assert kkt_residual_l1(obj, trace.xs[-1], 0.2) <= 1e-8
 
 
