@@ -35,7 +35,6 @@ from .lowrank import (
     empirical_matrix_concavity,
     iterate_threshold_matrix,
     lift_apply,
-    matrix_concavity_ratio,
     numerical_rank,
 )
 from .operators import (

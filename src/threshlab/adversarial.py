@@ -5,10 +5,12 @@ whenever the operator's relative concavity exceeds 1/(2 kappa), there is a
 certified quadratic on which the iteration starts at a stationary point x0
 with f(x0) = 0 while a sparser comparator y has f(y) < 0.  The objective is
 
-    f(w) = -beta <z - x, w - x> + (w - x)' U D U' (w - x) / 2
+    f(w) = -beta <z - x, w - x> + (w - x)' H (w - x) / 2
 
-built from a concavity witness (y, z) with x = Psi(z), U orthogonal with
-first column (y - x)/||y - x||, and D = diag(alpha, beta, ..., beta).
+built from a concavity witness (y, z) with x = Psi(z) and the rank-one
+update H = beta I + (alpha - beta) u u', u = (y - x)/||y - x||: curvature
+alpha along y - x and beta across it, i.e. U diag(alpha, beta, ..., beta) U'
+for any orthogonal U with first column u.
 
 ``build_prox_trap`` realizes the analogous failure for penalized soft
 thresholding (l1 or weighted l1): no penalty level produces a solution that
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .concavity import ConcavityQuery, empirical_concavity
+from .concavity import ConcavityQuery, _ratios, empirical_concavity
 from .operators import InvalidParameterError, ThresholdingOperator
 from .solver import QuadraticObjective
 
@@ -39,41 +41,14 @@ class TrapInstance:
     gamma_hat: float
     alpha: float
     beta: float
-    U: np.ndarray
     exact_stationary: bool
-
-
-def complete_orthobasis(u1: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix with first column u1, completed from the standard basis."""
-    d = u1.shape[0]
-    cols = [u1 / np.linalg.norm(u1)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        v = np.zeros(d)
-        v[j] = 1.0
-        for c in cols:
-            v = v - (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            v = v / norm
-            for c in cols:  # second Gram-Schmidt pass for orthogonality to 1e-10
-                v = v - (c @ v) * c
-            cols.append(v / np.linalg.norm(v))
-    if len(cols) != d:
-        raise RuntimeError("orthobasis completion failed")
-    return np.column_stack(cols)
 
 
 def _trap_objective(x, y, z, alpha, beta):
     u1 = (y - x) / np.linalg.norm(y - x)
-    U = complete_orthobasis(u1)
-    eigs = np.full(x.shape[0], beta)
-    eigs[0] = alpha
-    H = (U * eigs) @ U.T
-    H = 0.5 * (H + H.T)
+    H = beta * np.eye(x.shape[0]) + (alpha - beta) * np.outer(u1, u1)
     g = -beta * (z - x)
-    return QuadraticObjective(H, m=x.copy(), g=g, alpha=alpha, beta=beta), U
+    return QuadraticObjective(H, m=x.copy(), g=g, alpha=alpha, beta=beta)
 
 
 def build_trap(
@@ -108,7 +83,7 @@ def build_trap(
     y, z = report.witness_y, report.witness_z
     gamma_hat = report.ratio_at_witness
     x = op(z)
-    obj, U = _trap_objective(x, y, z, alpha, beta)
+    obj = _trap_objective(x, y, z, alpha, beta)
 
     # verify bit-exact stationarity, re-deriving z through the solver's own
     # float chain if needed
@@ -120,15 +95,14 @@ def build_trap(
             break
         z = z_step
         x = op(z)
-        diff = y - x
-        den = float(diff @ diff)
-        if den == 0.0:
+        ratio = float(_ratios(y, z, x))
+        if ratio == -math.inf:  # y == x: keep the previous gamma_hat
             break
-        gamma_hat = float(diff @ (z - x)) / den
+        gamma_hat = ratio
         if gamma_hat <= threshold:
             break
-        obj, U = _trap_objective(x, y, z, alpha, beta)
-    return TrapInstance(obj, x.copy(), y, z, gamma_hat, alpha, beta, U, exact)
+        obj = _trap_objective(x, y, z, alpha, beta)
+    return TrapInstance(obj, x.copy(), y, z, gamma_hat, alpha, beta, exact)
 
 
 @dataclass

@@ -15,6 +15,12 @@ the general shrinkage class and its reciprocal / l_q instances), an empirical
 maximization of the defining ratio with the exact witness families from the
 closed-form derivations, and the universal lower-bound witness valid for any
 operator.
+
+The ratio is written once, in the batched kernel ``_ratios``; the vector
+search, the matrix search in ``lowrank`` and the trap builder in
+``adversarial`` all evaluate it there.  ``concavity_ratio`` ravels its
+inputs, so with a lifted operator it gives the Frobenius ratio of matrices,
+which by the lifting lemma is the rank-constrained concavity ratio.
 """
 
 from __future__ import annotations
@@ -82,16 +88,31 @@ class ConcavityReport:
     ratio_at_witness: float
 
 
-def concavity_ratio(y, z, op: ThresholdingOperator) -> float:
-    """The alignment ratio <y - x, z - x> / ||y - x||^2 with x = op(z)."""
+def _ratios(Y, Z, X) -> np.ndarray:
+    """The ratio <Y - X, Z - X> / ||Y - X||^2 along the last axis.
+
+    The one place the formula is written.  Arguments broadcast against each
+    other; entries where Y equals X come out -inf.
+    """
+    diff = Y - X
+    den = np.einsum("...i,...i->...", diff, diff)
+    num = np.einsum("...i,...i->...", diff, Z - X)
+    out = np.full(den.shape, -math.inf)
+    return np.divide(num, den, out=out, where=den > 0.0)
+
+
+def concavity_ratio(y, z, op) -> float:
+    """The alignment ratio <y - x, z - x> / ||y - x||^2 with x = op(z).
+
+    ``op`` may be a vector operator or a lifted (matrix) operator: the
+    inputs are raveled, so for matrices this is the Frobenius ratio.
+    """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    x = op(z)
-    diff = y - x
-    den = float(np.dot(diff, diff))
-    if den == 0.0:
+    r = float(_ratios(y.ravel(), z.ravel(), op(z).ravel()))
+    if r == -math.inf:
         raise DegenerateWitnessError("y equals op(z); ratio undefined")
-    return float(np.dot(diff, z - x)) / den
+    return r
 
 
 def gamma_hard(rho: float) -> float:
@@ -195,42 +216,36 @@ def lower_bound_witness(op: ThresholdingOperator, query: ConcavityQuery):
 # empirical maximization
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 200):
-    """Golden-section maximization of a unimodal fn on [lo, hi] (log scale)."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = fn(math.exp(d))
-    u = math.exp(0.5 * (a + b))
-    return u, fn(u)
+def _collect(candidates: list, Y, Z, X) -> None:
+    """Append (ratio, y, z) for every row of the stack Y with a finite ratio.
+
+    Rows may be vectors or matrices (the ratio runs over all their entries);
+    Z and X broadcast against Y.  Rows keep their order, so among equal
+    ratios ``best_report`` picks the first row.
+    """
+    Y = np.asarray(Y, dtype=float)
+    Z = np.broadcast_to(Z, Y.shape)
+    k = Y.shape[0]
+    r = _ratios(
+        Y.reshape(k, -1), Z.reshape(k, -1), np.broadcast_to(X, Y.shape).reshape(k, -1)
+    )
+    for i in np.flatnonzero(np.isfinite(r)):
+        candidates.append((float(r[i]), Y[i], Z[i]))
 
 
-def _ratio_with_cached_x(y, z, x) -> float:
-    diff = y - x
-    den = float(np.dot(diff, diff))
-    if den == 0.0:
-        return -math.inf
-    return float(np.dot(diff, z - x)) / den
-
-
-def _ratio_batch(Y: np.ndarray, Z: np.ndarray, op) -> np.ndarray:
-    X = op(Z)
-    diff = Y - X
-    den = np.einsum("ij,ij->i", diff, diff)
-    num = np.einsum("ij,ij->i", diff, Z - X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    return np.where(den > 0.0, ratio, -math.inf)
+def best_report(candidates: list, closed_form: Optional[float], op) -> ConcavityReport:
+    """Report for the best (ratio, y, z) candidate; the first one wins ties."""
+    k = int(np.argmax([c[0] for c in candidates]))
+    best_ratio, wy, wz = candidates[k]
+    wy = np.array(wy, dtype=float)
+    wz = np.array(wz, dtype=float)
+    return ConcavityReport(
+        closed_form=closed_form,
+        empirical_max=float(best_ratio),
+        witness_y=wy,
+        witness_z=wz,
+        ratio_at_witness=concavity_ratio(wy, wz, op),
+    )
 
 
 def _structured_candidates(op: ThresholdingOperator, query: ConcavityQuery):
@@ -238,65 +253,52 @@ def _structured_candidates(op: ThresholdingOperator, query: ConcavityQuery):
 
     Family A places y = u * indicator on an s'-set disjoint from the support
     selected on z = all-ones; family B nests the s'-set inside that support.
-    Both ratios are unimodal in the scalar scale, so a log-grid sweep plus
-    golden-section refinement attains their suprema to machine precision.
+    Both ratios are unimodal in the scalar scale u.  A 200-point log grid
+    brackets the maximum; each zoom round then lays 201 log-spaced points
+    between the best point's neighbours, shrinking the bracket 100-fold, so
+    eight rounds reach float resolution.
     """
     d, s, sp = query.dim, query.s, query.s_prime
     z1 = np.ones(d)
     x1 = op(z1)
     sel = support_order(z1)[:s]
+    outside = [i for i in range(d) if i not in set(sel.tolist())]
     out = []
-
-    def add(y, z, x):
-        r = _ratio_with_cached_x(y, z, x)
-        if np.isfinite(r):
-            out.append((r, y, z))
 
     def family(indices):
         base = np.zeros(d)
         base[indices] = 1.0
-
-        def ratio_of(u):
-            return _ratio_with_cached_x(u * base, z1, x1)
-
         grid = np.logspace(-8.0, 4.0, 200)
-        vals = [ratio_of(u) for u in grid]
-        k = int(np.argmax(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        u_star, _ = _golden_max(ratio_of, lo, hi)
-        for u in (u_star, grid[k]):
-            add(u * base, z1, x1)
+        scales = []
+        for _ in range(9):
+            k = int(np.argmax(_ratios(np.multiply.outer(grid, base), z1, x1)))
+            scales.append(grid[k])
+            grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 201)
+        _collect(out, np.multiply.outer([scales[-1], scales[0]], base), z1, x1)
 
-    disjoint = [i for i in range(d) if i not in set(sel.tolist())][:sp]
-    family(np.asarray(disjoint))
-    nested = sel[:sp]
-    family(np.asarray(nested))
+    family(np.asarray(outside[:sp]))
+    family(sel[:sp])
 
     # universal lower-bound witness
     y3, z3, r3 = lower_bound_witness(op, query)
     out.append((r3, y3, z3))
 
     # divergence families: y near op(z) when it is reachable with s' nonzeros
+    eps = 10.0 ** -np.arange(1, 8)
     if not np.any(x1):
-        # op maps all-ones to zero (continuous kinds): ratio 1/eps via y = eps e_i
-        for eps in 10.0 ** -np.arange(1, 8):
-            y = np.zeros(d)
-            y[0] = eps
-            add(y, z1, x1)
+        # op maps all-ones to zero (continuous kinds): ratio 1/eps via y = eps e_0
+        _collect(out, np.multiply.outer(eps, np.eye(d)[0]), z1, x1)
     if sp == s:
         shrunk = z1 - x1
-        shrunk[[i for i in range(d) if i not in set(sel.tolist())]] = 0.0
+        shrunk[outside] = 0.0
         if np.any(shrunk):
-            for eps in 10.0 ** -np.arange(1, 8):
-                add(x1 + eps * shrunk, z1, x1)
+            _collect(out, x1 + np.multiply.outer(eps, shrunk), z1, x1)
 
     # antipodal seeds: y = 0 against z and -z
-    zero = np.zeros(d)
     for zc in (z1, -z1):
         xc = op(zc)
         if np.any(xc):
-            add(zero, zc, xc)
+            _collect(out, np.zeros((1, d)), zc, xc)
     return out
 
 
@@ -341,7 +343,7 @@ def empirical_concavity(
             np.put_along_axis(Y, supports, vals, axis=-1)
             return Y
 
-        best = _ratio_batch(dense_Y(y_vals), Z, op)
+        best = _ratios(dense_Y(y_vals), Z, op(Z))
         step0 = 0.5
         for k in range(ascent_steps):
             slot = k % n_slots
@@ -350,7 +352,7 @@ def empirical_concavity(
                 if slot < sp:
                     trial_vals = y_vals.copy()
                     trial_vals[:, slot] += sign * delta
-                    trial = _ratio_batch(dense_Y(trial_vals), Z, op)
+                    trial = _ratios(dense_Y(trial_vals), Z, op(Z))
                     improve = trial > best
                     y_vals[improve, slot] = trial_vals[improve, slot]
                     best = np.where(improve, trial, best)
@@ -358,7 +360,7 @@ def empirical_concavity(
                     j = slot - sp
                     trial_Z = Z.copy()
                     trial_Z[:, j] += sign * delta
-                    trial = _ratio_batch(dense_Y(y_vals), trial_Z, op)
+                    trial = _ratios(dense_Y(y_vals), trial_Z, op(trial_Z))
                     improve = trial > best
                     Z[improve, j] = trial_Z[improve, j]
                     best = np.where(improve, trial, best)
@@ -368,13 +370,4 @@ def empirical_concavity(
                 (float(best[k_best]), dense_Y(y_vals)[k_best], Z[k_best].copy())
             )
 
-    ratios = np.asarray([c[0] for c in candidates])
-    k = int(np.argmax(ratios))
-    best_ratio, wy, wz = candidates[k]
-    return ConcavityReport(
-        closed_form=closed_form_gamma(op, query.rho),
-        empirical_max=float(best_ratio),
-        witness_y=np.asarray(wy, dtype=float),
-        witness_z=np.asarray(wz, dtype=float),
-        ratio_at_witness=concavity_ratio(wy, wz, op),
-    )
+    return best_report(candidates, closed_form_gamma(op, query.rho), op)

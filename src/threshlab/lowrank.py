@@ -5,6 +5,10 @@ sign flips) lifts to matrices as X -> U diag(Psi(d)) V' from the SVD
 X = U diag(d) V'.  The lifted operator inherits the vector operator's
 relative concavity exactly, and the solver guarantees carry over with
 Frobenius geometry in place of the Euclidean one.
+
+The lift accepts stacks of matrices, so the matrix concavity search lifts a
+whole batch with one batched SVD and scores it with the vector module's
+ratio kernel over the flattened matrices.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import numpy as np
 from .concavity import (
     ConcavityQuery,
     ConcavityReport,
+    _collect,
+    _ratios,
+    best_report,
     closed_form_gamma,
     empirical_concavity,
 )
@@ -28,14 +35,18 @@ RANK_EPS = 1e-10  # singular values below RANK_EPS * s_max count as zero
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Rank-s thresholding operator obtained by lifting a vector operator."""
+    """Rank-s thresholding operator obtained by lifting a vector operator.
+
+    Accepts one matrix or a stack of shape ``(..., n, m)``; each matrix is
+    lifted on its own.
+    """
 
     base: ThresholdingOperator
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
         U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
-        return (U * self.base(sv)) @ Vt
+        return (U * self.base(sv)[..., None, :]) @ Vt
 
     @property
     def s(self) -> int:
@@ -75,36 +86,11 @@ class MatrixConcavityQuery:
         return self.s_prime / self.s
 
 
-def matrix_concavity_ratio(Y, Z, lifted: LiftedOperator) -> float:
-    """Frobenius alignment ratio <Y - X, Z - X> / ||Y - X||_F^2, X = lifted(Z)."""
-    from .concavity import DegenerateWitnessError
-
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    X = lifted(Z)
-    diff = Y - X
-    den = float(np.sum(diff * diff))
-    if den == 0.0:
-        raise DegenerateWitnessError("Y equals lifted(Z); ratio undefined")
-    return float(np.sum(diff * (Z - X))) / den
-
-
 def embed_diag(vec: np.ndarray, n: int, m: int) -> np.ndarray:
     out = np.zeros((n, m))
     p = min(n, m, vec.shape[0])
     out[np.arange(p), np.arange(p)] = vec[:p]
     return out
-
-
-def _ratio_batch_matrix(Y: np.ndarray, Z: np.ndarray, lifted: LiftedOperator) -> np.ndarray:
-    U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
-    X = np.einsum("bij,bj,bjk->bik", U, lifted.base(sv), Vt)
-    diff = Y - X
-    den = np.einsum("bij,bij->b", diff, diff)
-    num = np.einsum("bij,bij->b", diff, Z - X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-    return np.where(den > 0.0, r, -np.inf)
 
 
 def empirical_matrix_concavity(
@@ -128,19 +114,16 @@ def empirical_matrix_concavity(
 
     candidates = []
 
-    def add(Y, Z):
-        X = lifted(Z)
-        diff = Y - X
-        den = float(np.sum(diff * diff))
-        if den > 0.0:
-            r = float(np.sum(diff * (Z - X))) / den
-            candidates.append((r, Y, Z))
+    def ratios(Y, Z):
+        b = Z.shape[0]
+        return _ratios(Y.reshape(b, -1), Z.reshape(b, -1), lifted(Z).reshape(b, -1))
 
     # diagonal embeddings of the vector search (vector witnesses transfer
     # exactly: svd of a padded identity-like diagonal is the identity)
     vec_query = ConcavityQuery(s, sp, d=p)
     vec_report = empirical_concavity(lifted.base, vec_query, budget=budget, seed=seed)
-    add(embed_diag(vec_report.witness_y, n, m), embed_diag(vec_report.witness_z, n, m))
+    Z_vec = embed_diag(vec_report.witness_z, n, m)
+    _collect(candidates, embed_diag(vec_report.witness_y, n, m)[None], Z_vec, lifted(Z_vec))
 
     # stacked-identity family: Z = [I; 0], Y = t * (V_perp V_perp' padded)
     Z_id = embed_diag(np.ones(p), n, m)
@@ -148,8 +131,7 @@ def empirical_matrix_concavity(
     base_dirs = np.zeros((n, m))
     sel = np.arange(s, s + sp)
     base_dirs[sel, sel] = 1.0
-    for t in np.logspace(-8, 4, 200):
-        add(t * base_dirs, Z_id)
+    _collect(candidates, np.multiply.outer(np.logspace(-8, 4, 200), base_dirs), Z_id, X_id)
 
     if budget > 0:
         nb = min(budget, 200)
@@ -157,7 +139,7 @@ def empirical_matrix_concavity(
         B = rng.standard_normal((nb, m, sp))
         Z = rng.standard_normal((nb, n, m))
         Y = np.einsum("bik,bjk->bij", A, B)
-        best = _ratio_batch_matrix(Y, Z, lifted)
+        best = ratios(Y, Z)
         step = 0.5
         for k in range(200):
             step_k = step * 0.9 ** (k // 8)
@@ -174,7 +156,7 @@ def empirical_matrix_concavity(
                 else:
                     Z_t = Z + sign * step_k * rng.standard_normal(Z.shape) / np.sqrt(n * m)
                     Y_t = np.einsum("bik,bjk->bij", A, B)
-                trial = _ratio_batch_matrix(Y_t, Z_t, lifted)
+                trial = ratios(Y_t, Z_t)
                 improve = trial > best
                 if which == 0:
                     A[improve] = A_t[improve]
@@ -185,18 +167,9 @@ def empirical_matrix_concavity(
                 best = np.where(improve, trial, best)
         kb = int(np.argmax(best))
         if np.isfinite(best[kb]):
-            add(np.einsum("ik,jk->ij", A[kb], B[kb]), Z[kb])
+            _collect(candidates, (A[kb] @ B[kb].T)[None], Z[kb], lifted(Z[kb]))
 
-    ratios = np.asarray([c[0] for c in candidates])
-    k = int(np.argmax(ratios))
-    best_ratio, wy, wz = candidates[k]
-    return ConcavityReport(
-        closed_form=closed_form_gamma(lifted.base, query.rho),
-        empirical_max=float(best_ratio),
-        witness_y=wy,
-        witness_z=wz,
-        ratio_at_witness=matrix_concavity_ratio(wy, wz, lifted),
-    )
+    return best_report(candidates, closed_form_gamma(lifted.base, query.rho), lifted)
 
 
 @dataclass
@@ -261,5 +234,5 @@ def build_matrix_trap(
     X0 = embed_diag(trap.x0, p, p)
     Y = embed_diag(trap.y, p, p)
     Z = embed_diag(trap.z, p, p)
-    vec, _ = _trap_objective(X0.ravel(), Y.ravel(), Z.ravel(), alpha, beta)
+    vec = _trap_objective(X0.ravel(), Y.ravel(), Z.ravel(), alpha, beta)
     return MatrixObjective(vec, (p, p)), X0, Y, Z, trap.gamma_hat

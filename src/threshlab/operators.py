@@ -16,9 +16,9 @@ interpolate between the two.
 
 Each kind is a ``ShrinkageFunction`` that supplies its ``entry_map(vals,
 tau)``, the map it applies to the kept entries; one driver selects the
-support, computes tau and hands the kept entries to that map.  Hard, soft,
-reciprocal and l_q evaluate it in closed form; table and callable kinds use
-the generic formula above.
+support, computes tau and hands the kept entries to that map.  Hard, soft
+and l_q evaluate it in closed form; reciprocal, table and callable kinds use
+the generic formula above on their sigma.
 
 All functions accept arrays of shape ``(..., d)`` and act along the last axis,
 so batched evaluation is free.  Everything is pure: no shared mutable state,
@@ -152,9 +152,11 @@ def _sigma_entry_map(sigma):
     """Entry map ``sign(v) * (|v| - tau * sigma(|v|/tau))`` for a given sigma."""
 
     def entry_map(vals, tau):
-        with np.errstate(over="ignore"):
-            t = np.minimum(np.maximum(np.abs(vals) / tau, 1.0), 1e15)
-        return np.sign(vals) * (np.abs(vals) - tau * sigma(t))
+        mag = np.abs(vals)
+        # t = |v|/tau capped near 1e15 (beyond it tau * sigma(t) is below one
+        # ulp of v); dividing by max(tau, 1e-15 |v|) caps without overflowing
+        t = np.maximum(mag / np.maximum(tau, 1e-15 * mag), 1.0)
+        return np.copysign(mag - tau * sigma(t), vals)
 
     return entry_map
 
@@ -168,7 +170,7 @@ class ShrinkageFunction:
     magnitudes t >= 1.  ``entry_map(vals, tau)`` applies the same rule to the
     kept entries ``vals`` (shape ``(..., s)``) at the per-row level ``tau > 0``
     (shape ``(..., 1)``), returning ``sign(v) * (|v| - tau * sigma(|v|/tau))``;
-    the built-in kinds evaluate it in closed form.  Parameter ranges are
+    hard, soft and l_q evaluate it in closed form.  Parameter ranges are
     checked here, once, by the factories.
     """
 
@@ -208,25 +210,22 @@ class ShrinkageFunction:
 
         A kept entry maps to ``sign(z_i) * (|z_i| + sqrt(z_i^2 - tau^2(1-c^2)))/2``,
         the larger root t of ``z_i = t + tau^2 (1-c^2) / (4 t)``.  ``c = 1`` is
-        hard thresholding; ``c = 0`` is the universal reciprocal operator.
+        hard thresholding; ``c = 0`` is the universal reciprocal operator.  The
+        map is evaluated as ``|z_i| - tau * sigma(|z_i|/tau)`` with sigma in
+        cancellation-free form, so no entry is squared: it neither overflows
+        nor underflows anywhere in the float range.
         """
         if not 0.0 <= c <= 1.0:
             raise InvalidParameterError(f"reciprocal parameter c={c} not in [0, 1]")
         a = 1.0 - c * c
+        half_a = 0.5 * a
 
         def sigma(t):
             t = np.asarray(t, dtype=float)
             # cancellation-free form of (t - sqrt(t^2 - a)) / 2
-            return a / (2.0 * (t + np.sqrt(t * t - a)))
+            return half_a / (t + np.sqrt(t * t - a))
 
-        def entry_map(vals, tau):
-            mag = np.abs(vals)
-            # the max() guards rows the driver discards (tau == 0 placeholders);
-            # on kept entries |vals| >= tau makes the radicand nonnegative
-            rad = np.maximum(vals * vals - tau * tau * a, 0.0)
-            return np.sign(vals) * (0.5 * mag + 0.5 * np.sqrt(rad))
-
-        return cls("reciprocal", c, sigma, entry_map)
+        return cls("reciprocal", c, sigma, _sigma_entry_map(sigma))
 
     @classmethod
     def lq(cls, q: float) -> "ShrinkageFunction":

@@ -15,7 +15,7 @@ import numpy as np
 from . import concavity as conc
 from .adversarial import build_prox_trap, build_trap, default_prox_lambda_grid, sweep_prox_path
 from .concavity import ConcavityQuery, empirical_concavity, lower_bound_witness
-from .lowrank import LiftedOperator, embed_diag, lift_apply, matrix_concavity_ratio
+from .lowrank import LiftedOperator, embed_diag, lift_apply
 from .operators import (
     ShrinkageFunction,
     custom_operator,
@@ -162,7 +162,7 @@ def _lift(seed: int) -> tuple:
     y = np.asarray([0.4, 0.0, 0.2, 0.0, 0.0])
     zv = np.asarray([2.0, 1.5, 1.0, 0.8, 0.6])
     rv = conc.concavity_ratio(y, zv, base)
-    rm = matrix_concavity_ratio(embed_diag(y, 5, 5), embed_diag(zv, 5, 5), lifted)
+    rm = conc.concavity_ratio(embed_diag(y, 5, 5), embed_diag(zv, 5, 5), lifted)
     if abs(rv - rm) > 1e-12:
         return False, "embedding ratio mismatch"
     return True, "diagonal reduction, orthogonal invariance, ratio transfer"

@@ -27,7 +27,6 @@ from threshlab.lowrank import (
     embed_diag,
     empirical_matrix_concavity,
     iterate_threshold_matrix,
-    matrix_concavity_ratio,
 )
 from threshlab.operators import parse_operator, soft_operator
 from threshlab.regression import (
@@ -198,7 +197,7 @@ def test_criterion_7_lemma9_transfer():
         # diagonal embeddings reproduce vector ratios exactly
         vec_report = empirical_concavity(base, ConcavityQuery(2, 1, d=6), budget=50, seed=0)
         rv = concavity_ratio(vec_report.witness_y, vec_report.witness_z, base)
-        rm = matrix_concavity_ratio(
+        rm = concavity_ratio(
             embed_diag(vec_report.witness_y, 6, 6),
             embed_diag(vec_report.witness_z, 6, 6),
             lifted,

@@ -7,7 +7,6 @@ from threshlab.adversarial import (
     ConcavityTooSmallError,
     build_prox_trap,
     build_trap,
-    complete_orthobasis,
     default_prox_lambda_grid,
     sweep_prox_path,
 )
@@ -65,11 +64,19 @@ class TestBuildTrap:
         assert eigs[0] >= 0.5 - 1e-9
         assert eigs[-1] <= 1.0 + 1e-9
 
-    def test_orthobasis(self):
-        u = np.asarray([0.6, -0.8, 0.0, 0.0])
-        U = complete_orthobasis(u)
-        np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-10)
-        np.testing.assert_allclose(U[:, 0], u, atol=1e-15)
+    def test_trap_hessian_rank_one(self):
+        # H = beta I + (alpha - beta) u1 u1' has spectrum [alpha, beta, ..., beta]
+        # with u1 = (y - x0)/||y - x0|| as the alpha eigenvector
+        alpha, beta = 0.25, 1.0
+        trap = build_trap(
+            reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), alpha, beta, seed=0
+        )
+        H = trap.objective.H
+        u1 = (trap.y - trap.x0) / np.linalg.norm(trap.y - trap.x0)
+        expect = np.full(H.shape[0], beta)
+        expect[0] = alpha
+        np.testing.assert_allclose(np.linalg.eigvalsh(H), expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H @ u1, alpha * u1, rtol=0, atol=1e-12)
 
     def test_strict_failure_magnitude(self):
         # f(y) = -beta ||y-x||^2 (gamma_hat - 1/(2 kappa)) exactly along the

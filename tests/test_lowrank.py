@@ -13,7 +13,6 @@ from threshlab.lowrank import (
     empirical_matrix_concavity,
     iterate_threshold_matrix,
     lift_apply,
-    matrix_concavity_ratio,
     numerical_rank,
 )
 from threshlab.operators import (
@@ -78,6 +77,15 @@ class TestLiftApply:
             lift_apply(base, np.diag(z)), np.diag(base(z)), atol=1e-10
         )
 
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(7)
+        Z = rng.standard_normal((4, 3, 6, 5))
+        lifted = LiftedOperator(reciprocal_operator(2, 0.0))
+        out = lifted(Z)
+        assert out.shape == Z.shape
+        for idx in np.ndindex(*Z.shape[:2]):
+            np.testing.assert_allclose(out[idx], lifted(Z[idx]), rtol=0, atol=1e-12)
+
 
 class TestMatrixConcavityRatio:
     def test_diagonal_embedding_matches_vector(self):
@@ -87,7 +95,7 @@ class TestMatrixConcavityRatio:
         y = np.zeros(6)
         y[2] = 0.9
         rv = concavity_ratio(y, z, base)
-        rm = matrix_concavity_ratio(embed_diag(y, 6, 6), embed_diag(z, 6, 6), lifted)
+        rm = concavity_ratio(embed_diag(y, 6, 6), embed_diag(z, 6, 6), lifted)
         assert abs(rv - rm) < 1e-12
 
     def test_stacked_identity_witness(self):
@@ -102,7 +110,7 @@ class TestMatrixConcavityRatio:
         t = (r / rho) * (1.0 - r + np.sqrt(r * r - 2 * r + 1 + rho))
         Y = np.zeros((n, m))
         Y[s, s] = t
-        ratio = matrix_concavity_ratio(Y, Z, lifted)
+        ratio = concavity_ratio(Y, Z, lifted)
         assert ratio >= rho / (1 + rho) - 1e-9
 
     def test_random_near_witness_finite(self):
@@ -112,7 +120,7 @@ class TestMatrixConcavityRatio:
         Y = lifted(Z) + 0.01 * rng.standard_normal((5, 5))
         X = lifted(Z)
         expect = float(np.sum((Y - X) * (Z - X))) / float(np.sum((Y - X) ** 2))
-        assert abs(matrix_concavity_ratio(Y, Z, lifted) - expect) < 1e-14
+        assert abs(concavity_ratio(Y, Z, lifted) - expect) < 1e-14
 
 
 class TestEmpiricalMatrixConcavity:
@@ -142,7 +150,7 @@ class TestEmpiricalMatrixConcavity:
         report = empirical_matrix_concavity(
             lifted, MatrixConcavityQuery(5, 5, 2, 1), budget=50, seed=1
         )
-        rm = matrix_concavity_ratio(report.witness_y, report.witness_z, lifted)
+        rm = concavity_ratio(report.witness_y, report.witness_z, lifted)
         assert abs(rm - report.ratio_at_witness) < 1e-12
 
     def test_query_validation(self):

@@ -151,6 +151,18 @@ class TestReciprocalThreshold:
             recon = t + tau**2 * (1.0 - c * c) / (4.0 * t)
             np.testing.assert_allclose(recon, np.abs(z[kept]), rtol=1e-10)
 
+    def test_full_float_range_examples(self):
+        # kept entries are never squared, so nothing overflows or underflows
+        np.testing.assert_array_equal(
+            reciprocal_operator(1, 0.0)([1e300, -1e300, 1e299]), [5e299, 0.0, 0.0]
+        )
+        out = reciprocal_operator(1, 0.0)([1e-200, 5e-201])
+        np.testing.assert_allclose(out, [9.330127018922193e-201, 0.0], rtol=1e-12)
+        np.testing.assert_array_equal(
+            reciprocal_operator(1, 1.0)([1e200, 1e199, 0.0]), [1e200, 0.0, 0.0]
+        )
+        assert np.all(np.isfinite(reciprocal_operator(1, 0.0)([2e154, 1e10, 0.0])))
+
 
 class TestLqThreshold:
     def test_sigma1_example(self):
@@ -296,6 +308,38 @@ def test_support_agreement(zs, name):
     out = op(z)
     sel, _ = select_support(z, s)
     assert set(np.flatnonzero(out).tolist()) <= set(sel.tolist())
+
+
+def _operator_by_name(name, s):
+    if name == "table":
+        return custom_operator(s, ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1]))
+    return parse_operator(name, s)
+
+
+wide_range_strategy = st.integers(2, 8).flatmap(
+    lambda d: st.tuples(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(1e-6, 1e6).flatmap(lambda m: st.sampled_from([m, -m])),
+            ),
+            min_size=d,
+            max_size=d,
+        ),
+        st.integers(1, d),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_range_strategy, st.sampled_from(ALL_OPERATORS + ["table"]), st.integers(-900, 900))
+def test_power_of_two_scaling_exact(zs, name, k):
+    # op(2^k z) == 2^k op(z) bit for bit: no scaled entry is subnormal or
+    # overflows, so any deviation is the operator's own rounding
+    z, s = zs
+    z = np.asarray(z)
+    op = _operator_by_name(name, s)
+    np.testing.assert_array_equal(op(np.ldexp(z, k)), np.ldexp(op(z), k))
 
 
 @settings(max_examples=100, deadline=None)
