@@ -343,7 +343,10 @@ def empirical_concavity(
             np.put_along_axis(Y, supports, vals, axis=-1)
             return Y
 
-        best = _ratios(dense_Y(y_vals), Z, op(Z))
+        # X = op(Z) is kept between trials: the operator acts row by row, so
+        # y-slot trials reuse it and z-slot trials copy in their improved rows
+        X = op(Z)
+        best = _ratios(dense_Y(y_vals), Z, X)
         step0 = 0.5
         for k in range(ascent_steps):
             slot = k % n_slots
@@ -352,18 +355,21 @@ def empirical_concavity(
                 if slot < sp:
                     trial_vals = y_vals.copy()
                     trial_vals[:, slot] += sign * delta
-                    trial = _ratios(dense_Y(trial_vals), Z, op(Z))
+                    trial = _ratios(dense_Y(trial_vals), Z, X)
                     improve = trial > best
                     y_vals[improve, slot] = trial_vals[improve, slot]
-                    best = np.where(improve, trial, best)
                 else:
+                    # the trial moves column j of Z in place; rows that do
+                    # not improve get their old entry back
                     j = slot - sp
-                    trial_Z = Z.copy()
-                    trial_Z[:, j] += sign * delta
-                    trial = _ratios(dense_Y(y_vals), trial_Z, op(trial_Z))
+                    z_j = Z[:, j].copy()
+                    Z[:, j] += sign * delta
+                    trial_X = op(Z)
+                    trial = _ratios(dense_Y(y_vals), Z, trial_X)
                     improve = trial > best
-                    Z[improve, j] = trial_Z[improve, j]
-                    best = np.where(improve, trial, best)
+                    Z[~improve, j] = z_j[~improve]
+                    X[improve] = trial_X[improve]
+                best = np.where(improve, trial, best)
         k_best = int(np.argmax(best))
         if np.isfinite(best[k_best]):
             candidates.append(

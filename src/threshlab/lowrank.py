@@ -114,9 +114,9 @@ def empirical_matrix_concavity(
 
     candidates = []
 
-    def ratios(Y, Z):
+    def ratios(Y, Z, X):
         b = Z.shape[0]
-        return _ratios(Y.reshape(b, -1), Z.reshape(b, -1), lifted(Z).reshape(b, -1))
+        return _ratios(Y.reshape(b, -1), Z.reshape(b, -1), X.reshape(b, -1))
 
     # diagonal embeddings of the vector search (vector witnesses transfer
     # exactly: svd of a padded identity-like diagonal is the identity)
@@ -139,7 +139,11 @@ def empirical_matrix_concavity(
         B = rng.standard_normal((nb, m, sp))
         Z = rng.standard_normal((nb, n, m))
         Y = np.einsum("bik,bjk->bij", A, B)
-        best = ratios(Y, Z)
+        # X = lifted(Z) is kept between trials: the lift acts matrix by
+        # matrix, so factor trials reuse it and Z trials copy in their
+        # improved matrices
+        X = lifted(Z)
+        best = ratios(Y, Z, X)
         step = 0.5
         for k in range(200):
             step_k = step * 0.9 ** (k // 8)
@@ -148,15 +152,16 @@ def empirical_matrix_concavity(
                 if which == 0:
                     A_t = A + sign * step_k * rng.standard_normal(A.shape) / np.sqrt(n)
                     Y_t = np.einsum("bik,bjk->bij", A_t, B)
-                    Z_t = Z
+                    Z_t, X_t = Z, X
                 elif which == 1:
                     B_t = B + sign * step_k * rng.standard_normal(B.shape) / np.sqrt(m)
                     Y_t = np.einsum("bik,bjk->bij", A, B_t)
-                    Z_t = Z
+                    Z_t, X_t = Z, X
                 else:
                     Z_t = Z + sign * step_k * rng.standard_normal(Z.shape) / np.sqrt(n * m)
+                    X_t = lifted(Z_t)
                     Y_t = np.einsum("bik,bjk->bij", A, B)
-                trial = ratios(Y_t, Z_t)
+                trial = ratios(Y_t, Z_t, X_t)
                 improve = trial > best
                 if which == 0:
                     A[improve] = A_t[improve]
@@ -164,6 +169,7 @@ def empirical_matrix_concavity(
                     B[improve] = B_t[improve]
                 else:
                     Z[improve] = Z_t[improve]
+                    X[improve] = X_t[improve]
                 best = np.where(improve, trial, best)
         kb = int(np.argmax(best))
         if np.isfinite(best[kb]):

@@ -105,35 +105,41 @@ def _lq_shrink_coefficient(q: float) -> float:
     return q * (2.0 - 2.0 * q) ** (1.0 - q) / (2.0 - q) ** (2.0 - q)
 
 
+_LQ_NEWTON_STEPS = 6
+
+
 def lq_larger_root(t, q: float) -> np.ndarray:
     """Larger root x of ``t = x + K x^(q-1)`` with K the l_q coefficient.
 
-    Safeguarded bisection on ``[t (1 - sigma_max), t]`` with
-    ``sigma_max = q/(2-q)``; the left end is at or below the root and the
-    right end above it for every t >= 1, so the bracket cannot fail unless
-    the inputs are invalid.  Absolute tolerance 1e-12 on the root.
+    Six Newton steps on the convex ``g(x) = x + K x^(q-1) - t`` from
+    ``x = t``, where ``g > 0``, so the iterates fall monotonically onto the
+    larger root.  For t in [1, 1e15] they agree with a converged bisection
+    to relative 4e-15 for q <= 0.9 and 3e-14 at q = 0.99, where the root is
+    ill-conditioned near t = 1 (five steps leave 2.5e-9 there).
+    The step count is fixed, so batched and single-vector evaluations are
+    bitwise identical.
+
+    Precondition: every t is finite and at least 1; otherwise
+    RootNotBracketedError is raised before iterating.  Postcondition: the
+    root lies in the bracket ``[t (1 - q/(2-q)), t]``, whose lower end it
+    attains at t = 1; that end gets an allowance of 1e-12 t for rounding,
+    and a NaN fails the check.
     """
     if not 0.0 < q < 1.0:
         raise InvalidParameterError(f"lq parameter q={q} not in (0, 1)")
     t = np.asarray(t, dtype=float)
+    # written as positive tests so that a NaN fails them
+    if not np.all((t >= 1.0) & (t < np.inf)):
+        raise RootNotBracketedError("l_q root needs finite t >= 1")
     K = _lq_shrink_coefficient(q)
-    sigma_max = q / (2.0 - q)
-    lo = t * (1.0 - sigma_max)
-    hi = t.copy()
-
-    def g(x):
-        return x + K * x ** (q - 1.0) - t
-
-    if np.any(g(lo) > 1e-8) or np.any(g(hi) < -1e-8):
-        raise RootNotBracketedError("l_q root bracket failed for some t")
-    # fixed iteration count: reaches width < 1e-12 for any t up to ~6e17 and
-    # keeps batched and single-vector evaluations bitwise identical
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    x = t
+    for _ in range(_LQ_NEWTON_STEPS):
+        p = K * x ** (q - 1.0)
+        x = x - (x + p - t) / (1.0 - (1.0 - q) * p / x)
+    lo = t * (1.0 - q / (2.0 - q) - 1e-12)
+    if not np.all((x >= lo) & (x <= t)):
+        raise RootNotBracketedError("l_q Newton iterate left its bracket")
+    return x
 
 
 def prox_l1(z, t: float) -> np.ndarray:
@@ -241,11 +247,13 @@ class ShrinkageFunction:
         def entry_map(vals, tau):
             with np.errstate(over="ignore"):
                 t = np.maximum(np.abs(vals) / tau, 1.0)
-            # beyond the cap the shrinkage tau * sigma(t) is below one ulp of vals
-            extreme = t > 1e15
-            t_safe = np.where(extreme, 1.0, t)
+            # beyond the cap the shrinkage tau * sigma(t) is below one ulp of
+            # vals; a NaN t (a NaN entry, or inf / inf) passes its entry
+            # through too, since the root needs finite t
+            in_range = t <= 1e15
+            t_safe = np.where(in_range, t, 1.0)
             shrunk = np.sign(vals) * (tau * lq_larger_root(t_safe, q))
-            return np.where(extreme, vals, shrunk)
+            return np.where(in_range, shrunk, vals)
 
         return cls(
             "lq",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from threshlab.operators import (
     InvalidParameterError,
     InvalidSparsityError,
+    RootNotBracketedError,
     ShrinkageFunction,
     ShrinkOutOfRangeError,
     custom_operator,
@@ -174,7 +175,8 @@ class TestLqThreshold:
         assert 10.0 - sigma1 < out[0] < 10.0
 
     def test_root_residual_oracle(self):
-        # residual of the defining equation, checked independently of bisection
+        # residual of the defining equation, checked independently of the
+        # Newton iteration that solves it
         q = 2.0 / 3.0
         K = q * (2.0 - 2.0 * q) ** (1.0 - q) / (2.0 - q) ** (2.0 - q)
         for t in [1.0, 1.5, 4.0, 25.0, 400.0]:
@@ -200,6 +202,73 @@ class TestLqThreshold:
 
         with pytest.raises(RootNotBracketedError):
             lq_larger_root(np.asarray([0.1]), 2.0 / 3.0)
+
+    def test_root_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(RootNotBracketedError):
+                lq_larger_root(np.asarray([2.0, bad]), 0.5)
+
+    def test_non_finite_entries_pass_through(self):
+        # a NaN entry, or inf over an infinite tau, has no finite t: the entry
+        # is kept as it is instead of reaching the root
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(
+                lq_operator(2, 0.5)([np.nan, np.nan, 1.0]), [np.nan, 0.0, 1.0]
+            )
+            np.testing.assert_array_equal(lq_operator(1, 0.5)([np.inf, np.inf]), [np.inf, 0.0])
+
+
+def _lq_coefficient(q):
+    return q * (2.0 - 2.0 * q) ** (1.0 - q) / (2.0 - q) ** (2.0 - q)
+
+
+def _bisection_root(t, q, steps=100):
+    """Reference: bisection on the bracket [t (1 - q/(2-q)), t]."""
+    K = _lq_coefficient(q)
+    lo = t * (1.0 - q / (2.0 - q))
+    hi = t.copy()
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = mid + K * mid ** (q - 1.0) - t <= 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+LQ_ORACLE_T = np.concatenate([[1.0], np.logspace(0.0, 15.0, 400)])
+
+
+class TestLqRoot:
+    def test_closed_form_q_half(self):
+        # x = w^2 with w the largest root of w^3 - t w + K = 0, from the
+        # trigonometric form of the three-real-root cubic
+        t = LQ_ORACLE_T
+        K = _lq_coefficient(0.5)
+        phi = np.arccos(-1.5 * np.sqrt(3.0) * K / t**1.5)
+        w = 2.0 * np.sqrt(t / 3.0) * np.cos(phi / 3.0)
+        np.testing.assert_allclose(lq_larger_root(t, 0.5), w * w, rtol=1e-13, atol=0.0)
+
+    def test_closed_form_q_two_thirds(self):
+        # x = w^3 with w the largest real root of w^4 - t w + K = 0
+        q = 2.0 / 3.0
+        K = _lq_coefficient(q)
+
+        def largest_real_root(t):
+            roots = np.roots([1.0, 0.0, 0.0, -t, K])
+            return roots[np.abs(roots.imag) < 1e-9 * np.abs(roots)].real.max()
+
+        w = np.array([largest_real_root(t) for t in LQ_ORACLE_T])
+        np.testing.assert_allclose(lq_larger_root(LQ_ORACLE_T, q), w**3, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("q", [0.05, 0.4, 2.0 / 3.0, 0.9, 0.99])
+    def test_newton_matches_bisection(self, q):
+        t = np.concatenate([[1.0, 1.0 + 1e-12], np.logspace(0.0, 15.0, 2000)])
+        x = lq_larger_root(t, q)
+        np.testing.assert_allclose(x, _bisection_root(t, q), rtol=1e-13, atol=0.0)
+        # a fixed step count: batched and one-at-a-time calls agree bit for bit
+        rows = np.concatenate([lq_larger_root(t[i : i + 1], q) for i in range(t.size)])
+        np.testing.assert_array_equal(x, rows)
+        np.testing.assert_array_equal(lq_larger_root(t.reshape(2, -1), q), x.reshape(2, -1))
 
 
 class TestCustomShrink:
