@@ -34,14 +34,14 @@ from .lowrank import (
     iterate_threshold_matrix,
     lift_apply,
 )
-from .operators import parse_operator
+from .operators import hard_operator, parse_operator
 from .solver import (
     QuadraticObjective,
     StepRule,
     convergence_bound_rhs,
     iterate_threshold,
 )
-from .validate import run_validation_suite
+from .validate import check_stationary, run_validation_suite
 
 
 def _fmt(v) -> str:
@@ -145,10 +145,7 @@ def cmd_converge(args) -> int:
         trace = iterate_threshold(obj, op, np.zeros(args.dim), rule, args.iters)
         running = trace.running_min
         if with_bound:
-            y = np.zeros(args.dim)
-            mini = obj.minimizer()
-            keep = np.argsort(-np.abs(mini), kind="stable")[: args.s_prime]
-            y[keep] = mini[keep]
+            y = hard_operator(args.s_prime)(obj.minimizer())
             rhs = convergence_bound_rhs(
                 np.arange(1, args.iters + 1),
                 obj.value(y),
@@ -193,8 +190,7 @@ def cmd_trap(args) -> int:
             [[0, float("nan"), 1.0 / (2.0 * args.kappa)]],
         )
         return 0
-    trace = iterate_threshold(trap.objective, op, trap.x0, StepRule.fixed(), args.iters)
-    stagnant = int(np.all(trace.xs == trap.x0))
+    stagnant = int(check_stationary(trap.objective, op, trap.x0, args.iters)[0])
     f_y = trap.objective.value(trap.y)
     print(
         f"trap found: gamma_hat={trap.gamma_hat:.6g}, f(x0)=0, f(y)={f_y:.6g}, "
@@ -348,9 +344,10 @@ def cmd_lowrank_demo(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_validation_suite(seed=args.seed)
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    def show(name, ok, detail, seconds):
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({seconds * 1e3:.1f} ms)", flush=True)
+
+    results = run_validation_suite(seed=args.seed, on_result=show)
     if args.out:
         write_csv(
             args.out,
@@ -359,18 +356,6 @@ def cmd_validate(args) -> int:
             [[name, int(ok), detail.replace(",", ";")] for name, ok, detail in results],
         )
     return 0 if all(ok for _, ok, _ in results) else 1
-
-
-def _load_config(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
 
 
 def build_parser() -> tuple:
@@ -456,24 +441,43 @@ def build_parser() -> tuple:
     return parser, commands
 
 
+def _config_flags(path: str, command) -> list:
+    """The ``key=value`` lines of a config file, spelled as ``command``'s flags.
+
+    Booleans take 1/true/yes or 0/false/no and lists split on whitespace;
+    argparse then checks every key and value as it checks the command line.
+    """
+    flags = []
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        key, val = key.strip().replace("-", "_"), val.strip()
+        flag = "--" + key.replace("_", "-")
+        default = command.get_default(key)
+        if isinstance(default, bool):
+            on = val.lower() in ("1", "true", "yes")
+            if not on and val.lower() not in ("0", "false", "no"):
+                command.error(f"argument {flag}: expected a boolean, got {val!r}")
+            flags += [flag] if on else []
+        elif isinstance(default, list):
+            flags += [flag, *val.split()]
+        else:
+            flags.append(f"{flag}={val}")
+    return flags
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    # first pass to locate --config; its values become defaults, flags override
+    # first pass to locate --config; its lines are parsed as flags placed
+    # right after the subcommand, so flags on the command line override them
     ns, _ = parser.parse_known_args(argv)
     if getattr(ns, "config", None):
-        command = commands[ns.command]
-        for key, val in _load_config(ns.config).items():
-            if key not in vars(ns) or key in ("command", "func"):
-                continue
-            default = command.get_default(key)
-            if isinstance(default, bool):
-                val = val.lower() in ("1", "true", "yes")
-            elif isinstance(default, list):
-                val = val.split()
-            elif isinstance(default, (int, float)):
-                val = type(default)(val)
-            command.set_defaults(**{key: val})
+        at = argv.index(ns.command) + 1
+        argv[at:at] = _config_flags(ns.config, commands[ns.command])
     args = parser.parse_args(argv)
     try:
         return args.func(args)

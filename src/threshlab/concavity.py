@@ -337,27 +337,26 @@ def empirical_concavity(
             supports[i] = rng.choice(d, size=sp, replace=False)
         y_vals = rng.standard_normal((budget, sp))
         Z = rng.standard_normal((budget, d))
+        Y = np.zeros((budget, d))
+        np.put_along_axis(Y, supports, y_vals, axis=-1)
+        rows = np.arange(budget)
 
-        def dense_Y(vals):
-            Y = np.zeros((budget, d))
-            np.put_along_axis(Y, supports, vals, axis=-1)
-            return Y
-
-        # X = op(Z) is kept between trials: the operator acts row by row, so
-        # y-slot trials reuse it and z-slot trials copy in their improved rows
+        # Y and X = op(Z) are kept between trials: the operator acts row by
+        # row, so y-slot trials reuse X and z-slot trials reuse Y, and each
+        # trial copies its improved rows back
         X = op(Z)
-        best = _ratios(dense_Y(y_vals), Z, X)
+        best = _ratios(Y, Z, X)
         step0 = 0.5
         for k in range(ascent_steps):
             slot = k % n_slots
             delta = step0 * step_decay ** (k // n_slots)
             for sign in (1.0, -1.0):
                 if slot < sp:
-                    trial_vals = y_vals.copy()
-                    trial_vals[:, slot] += sign * delta
-                    trial = _ratios(dense_Y(trial_vals), Z, X)
+                    trial_Y = Y.copy()
+                    trial_Y[rows, supports[:, slot]] += sign * delta
+                    trial = _ratios(trial_Y, Z, X)
                     improve = trial > best
-                    y_vals[improve, slot] = trial_vals[improve, slot]
+                    Y[improve] = trial_Y[improve]
                 else:
                     # the trial moves column j of Z in place; rows that do
                     # not improve get their old entry back
@@ -365,15 +364,13 @@ def empirical_concavity(
                     z_j = Z[:, j].copy()
                     Z[:, j] += sign * delta
                     trial_X = op(Z)
-                    trial = _ratios(dense_Y(y_vals), Z, trial_X)
+                    trial = _ratios(Y, Z, trial_X)
                     improve = trial > best
                     Z[~improve, j] = z_j[~improve]
                     X[improve] = trial_X[improve]
                 best = np.where(improve, trial, best)
         k_best = int(np.argmax(best))
         if np.isfinite(best[k_best]):
-            candidates.append(
-                (float(best[k_best]), dense_Y(y_vals)[k_best], Z[k_best].copy())
-            )
+            candidates.append((float(best[k_best]), Y[k_best].copy(), Z[k_best].copy()))
 
     return best_report(candidates, closed_form_gamma(op, query.rho), op)

@@ -139,9 +139,9 @@ def empirical_matrix_concavity(
         B = rng.standard_normal((nb, m, sp))
         Z = rng.standard_normal((nb, n, m))
         Y = np.einsum("bik,bjk->bij", A, B)
-        # X = lifted(Z) is kept between trials: the lift acts matrix by
-        # matrix, so factor trials reuse it and Z trials copy in their
-        # improved matrices
+        # Y = A B' and X = lifted(Z) are kept between trials: the lift acts
+        # matrix by matrix, so factor trials reuse X, Z trials reuse Y, and
+        # each trial copies its improved matrices back
         X = lifted(Z)
         best = ratios(Y, Z, X)
         step = 0.5
@@ -160,13 +160,15 @@ def empirical_matrix_concavity(
                 else:
                     Z_t = Z + sign * step_k * rng.standard_normal(Z.shape) / np.sqrt(n * m)
                     X_t = lifted(Z_t)
-                    Y_t = np.einsum("bik,bjk->bij", A, B)
+                    Y_t = Y
                 trial = ratios(Y_t, Z_t, X_t)
                 improve = trial > best
                 if which == 0:
                     A[improve] = A_t[improve]
+                    Y[improve] = Y_t[improve]
                 elif which == 1:
                     B[improve] = B_t[improve]
+                    Y[improve] = Y_t[improve]
                 else:
                     Z[improve] = Z_t[improve]
                     X[improve] = X_t[improve]

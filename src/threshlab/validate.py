@@ -1,21 +1,23 @@
-"""Built-in invariant suite backing the ``validate`` CLI subcommand.
+"""The paper's contracts as predicates, and the suite behind ``threshlab validate``.
 
-Fast spot checks of the library's mathematical contracts: operator axioms on
-random inputs, the closed-form concavity table, search soundness, solver
-guarantees, trap behavior, lifting consistency, and the regression gradient.
-Each check returns (name, passed, detail).
+Each contract is written once here, as a public ``check_*`` predicate that
+returns ``(ok, detail)``; the tests call the same predicates at their own
+settings.  ``run_validation_suite`` runs the ordered registry ``_CHECKS`` at
+fixed settings: those predicates plus spot checks of the operator axioms,
+the lift, the prox solver and the regression gradient.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
 from . import concavity as conc
 from .adversarial import build_prox_trap, build_trap, default_prox_lambda_grid, sweep_prox_path
 from .concavity import ConcavityQuery, empirical_concavity, lower_bound_witness
-from .lowrank import LiftedOperator, embed_diag, lift_apply
+from .lowrank import LiftedOperator, embed_diag, iterate_threshold_matrix, lift_apply
 from .operators import (
     ShrinkageFunction,
     custom_operator,
@@ -23,12 +25,14 @@ from .operators import (
     parse_operator,
     prox_l1,
     reciprocal_operator,
+    support_order,
 )
 from .regression import DesignSpec, generate_instance
 from .solver import (
     QuadraticObjective,
     StepRule,
     check_theorem1_bound,
+    convergence_bound_rhs,
     iterate_prox,
     iterate_threshold,
     kkt_residual_l1,
@@ -37,7 +41,143 @@ from .solver import (
 _OPERATORS = ["hard", "soft", "rt:0", "rt:0.5", "lq:0.666666667", "lq:0.4"]
 
 
-def _operator_axioms(rng) -> tuple:
+# ---------------------------------------------------------------------------
+# contracts
+
+
+def check_closed_form_table(rhos) -> tuple:
+    """gamma_hard = sqrt(rho)/2, gamma_optimal = rho/(1+rho), the shrinkage
+    class at sigma(1) = (1-rho)/2 attains the optimum, and l_q at q = 2/3
+    equals reciprocal at c = 0, each within 1e-12 at every rho of the grid."""
+    for rho in rhos:
+        if not abs(conc.gamma_hard(rho) - math.sqrt(rho) / 2) <= 1e-12:
+            return False, f"gamma_hard wrong at rho={rho}"
+        if not abs(conc.gamma_optimal(rho) - rho / (1 + rho)) <= 1e-12:
+            return False, f"gamma_optimal wrong at rho={rho}"
+        if not abs(conc.gamma_shrink_class(rho, (1 - rho) / 2) - rho / (1 + rho)) <= 1e-12:
+            return False, f"optimal sigma(1) identity fails at rho={rho}"
+        if not abs(conc.gamma_lq(rho, 2 / 3) - conc.gamma_reciprocal(rho, 0.0)) <= 1e-12:
+            return False, f"lq(2/3) != rt(0) at rho={rho}"
+    return True, f"rho grid {rhos[0]:.2f}..{rhos[-1]:.2f}"
+
+
+def check_dominance(rho, g_opt, g_rt, g_hard) -> tuple:
+    """Dominance and crossing of the optimal, reciprocal (c = 0) and hard
+    concavity curves, given as arrays over the rho grid: g_opt <= g_rt <=
+    rho / min(1.0, 4(1 - rho)), g_opt <= g_hard, and g_rt < g_hard for
+    rho <= 1/4."""
+    rho, g_opt, g_rt, g_hard = (np.asarray(a, dtype=float) for a in (rho, g_opt, g_rt, g_hard))
+    conditions = [
+        ("optimal above reciprocal", g_opt <= g_rt + 1e-15),
+        ("reciprocal above its bound", g_rt <= rho / np.minimum(1.0, 4 * (1 - rho)) + 1e-12),
+        ("optimal above hard", g_opt <= g_hard + 1e-15),
+        ("crossing fails", (rho > 0.25) | (g_rt < g_hard)),
+    ]
+    for what, holds in conditions:
+        if not np.all(holds):
+            return False, f"{what} at rho={rho[np.argmin(holds)]}"
+    return True, "dominance and crossing on rho grid"
+
+
+def check_sandwich(report: conc.ConcavityReport) -> tuple:
+    """The search is sound and tight: cf - 1e-6 <= empirical_max <= cf + 1e-9.
+
+    Where the closed form is +inf (shrinkage kinds at rho = 1) the supremum
+    diverges, and the search must show it with a ratio above 1e3.
+    """
+    cf, found = report.closed_form, report.empirical_max
+    if cf is None:
+        return False, "no closed form to compare with"
+    ok = found > 1e3 if cf == math.inf else cf - 1e-6 <= found <= cf + 1e-9
+    return ok, f"{found} vs closed {cf}"
+
+
+def check_universal_witness(ops, query: ConcavityQuery) -> tuple:
+    """The universal witness reaches rho/(1+rho) - 1e-9 for every operator."""
+    floor = query.rho / (1 + query.rho) - 1e-9
+    for op in ops:
+        _, _, ratio = lower_bound_witness(op, query)
+        if not ratio >= floor:
+            return False, f"{op.name}: ratio {ratio} below {floor}"
+    return True, f"{len(ops)} operators at ({query.s},{query.s_prime})"
+
+
+def check_theorem1_run(obj, op, rule, T: int, s_prime: int, gamma: float) -> tuple:
+    """Theorem 1 on one run of T steps from zero.
+
+    The running minimum stays under the bound against the best
+    s'-sparse truncation of the minimizer, and no step falls below 1/beta.
+    """
+    trace = iterate_threshold(obj, op, np.zeros(obj.dim), rule, T)
+    y = hard_operator(s_prime)(obj.minimizer())
+    if not np.all(check_theorem1_bound(trace, y, gamma, obj.kappa, obj.beta)):
+        return False, "bound violated"
+    if np.any(trace.etas < 1.0 / obj.beta):
+        return False, "step below the floor"
+    return True, f"{T} steps under the bound"
+
+
+def check_theorem7_run(obj, lifted, rule, T: int, gamma: float) -> tuple:
+    """Theorem 7's displayed inequality on one matrix run of T steps from zero.
+
+    The comparator is the best rank-1 approximation of the minimizer.  The
+    inequality holds for gamma < 1/2, so unlike Theorem 1 it is not gated on
+    gamma < 1/(2 kappa).
+    """
+    n, m = obj.shape
+    trace = iterate_threshold_matrix(obj, lifted, np.zeros((n, m)), rule, T)
+    U, sv, Vt = np.linalg.svd(obj.vec_objective.minimizer().reshape(n, m))
+    Y = sv[0] * np.outer(U[:, 0], Vt[0])
+    rhs = convergence_bound_rhs(
+        np.arange(1, T + 1),
+        obj.value(Y),
+        gamma,
+        obj.beta / obj.alpha,
+        obj.beta,
+        float(np.sum((trace.x0 - Y) ** 2)),
+    )
+    return bool(np.all(trace.running_min <= rhs)), f"{T} matrix steps under the bound"
+
+
+def check_stationary(objective, op, x0, steps: int) -> tuple:
+    """``steps`` fixed steps from x0 return x0 bit for bit (vector or matrix)."""
+    solve = iterate_threshold_matrix if np.ndim(x0) == 2 else iterate_threshold
+    trace = solve(objective, op, x0, StepRule.fixed(), steps)
+    if not np.all(trace.xs == x0):
+        return False, "trap not stationary"
+    return True, f"{steps} exactly stationary steps"
+
+
+def check_trap(objective, op, x0, y, steps: int) -> tuple:
+    """The stationary trap: f(x0) == 0, f(y) < -1e-10, and x0 never moves."""
+    if objective.value(x0) != 0.0:
+        return False, "f(x0) != 0"
+    if not objective.value(y) < -1e-10:
+        return False, "f(y) not negative"
+    return check_stationary(objective, op, x0, steps)
+
+
+def check_prox_sweep(instance, lam_grid) -> tuple:
+    """At every penalty level the l1 solution is dense or worse than f(y)."""
+    records = sweep_prox_path(instance, lam_grid)
+    bad = sum(not r.disjunct_holds for r in records)
+    return bad == 0, f"{len(records)} lambdas, {bad} disjunction failures"
+
+
+# ---------------------------------------------------------------------------
+# the suite
+
+
+def _first_failure(results, passed: str) -> tuple:
+    """The first failing ``(ok, detail)`` of ``results``, else ``(True, passed)``."""
+    for ok, detail in results:
+        if not ok:
+            return False, detail
+    return True, passed
+
+
+def _operator_axioms(seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
     for _ in range(40):
         d = int(rng.integers(2, 10))
         s = int(rng.integers(1, d + 1))
@@ -53,96 +193,61 @@ def _operator_axioms(rng) -> tuple:
             sparse_z = np.where(np.arange(d) < s, z, 0.0)
             if not np.array_equal(op(sparse_z), sparse_z):
                 return False, f"idempotence violated for {name}"
-            sel = set(np.argsort(-np.abs(z), kind="stable")[:s].tolist())
+            sel = set(support_order(z)[:s].tolist())
             if not set(np.flatnonzero(out).tolist()) <= sel:
                 return False, f"support agreement violated for {name}"
     return True, f"40 random inputs x {len(_OPERATORS)} operators"
 
 
-def _closed_forms() -> tuple:
-    for rho in np.arange(0.05, 0.951, 0.05):
-        if abs(conc.gamma_hard(rho) - math.sqrt(rho) / 2) > 1e-12:
-            return False, f"gamma_hard wrong at rho={rho}"
-        if abs(conc.gamma_optimal(rho) - rho / (1 + rho)) > 1e-12:
-            return False, f"gamma_optimal wrong at rho={rho}"
-        if abs(conc.gamma_shrink_class(rho, (1 - rho) / 2) - rho / (1 + rho)) > 1e-12:
-            return False, f"optimal sigma(1) identity fails at rho={rho}"
-        if abs(conc.gamma_lq(rho, 2 / 3) - conc.gamma_reciprocal(rho, 0.0)) > 1e-12:
-            return False, f"lq(2/3) != rt(0) at rho={rho}"
-    return True, "rho grid 0.05..0.95"
-
-
-def _dominance() -> tuple:
-    for rho in np.arange(0.01, 0.991, 0.01):
-        g_opt, g_hard = conc.gamma_optimal(rho), conc.gamma_hard(rho)
-        g_rt = conc.gamma_reciprocal(rho, 0.0)
-        if not (g_opt <= g_rt + 1e-15 and g_rt <= rho / min(1.0, 4 * (1 - rho)) + 1e-12):
-            return False, f"dominance fails at rho={rho}"
-        if g_opt > g_hard + 1e-15:
-            return False, f"optimal above hard at rho={rho}"
-        if rho <= 0.25 and not g_rt < g_hard:
-            return False, f"crossing fails at rho={rho}"
-    return True, "dominance and crossing on rho grid"
+def _dominance(seed: int) -> tuple:
+    rho = np.arange(0.01, 0.991, 0.01)
+    curves = [
+        [conc.gamma_optimal(r), conc.gamma_reciprocal(r, 0.0), conc.gamma_hard(r)] for r in rho
+    ]
+    return check_dominance(rho, *np.transpose(curves))
 
 
 def _search_sandwich(seed: int) -> tuple:
-    for name in ["hard", "rt:0", "lq:0.4"]:
+    def search(name):
         op = parse_operator(name, 4)
-        query = ConcavityQuery(4, 2)
-        report = empirical_concavity(op, query, budget=100, seed=seed)
-        cf = report.closed_form
-        if not (cf - 1e-6 <= report.empirical_max <= cf + 1e-9):
-            return False, f"{name}: {report.empirical_max} vs closed {cf}"
-    return True, "hard, rt:0, lq:0.4 at (s,s')=(4,2), budget 100"
+        ok, detail = check_sandwich(empirical_concavity(op, ConcavityQuery(4, 2), budget=100, seed=seed))
+        return ok, f"{name}: {detail}"
+
+    names = ["hard", "rt:0", "lq:0.4"]
+    return _first_failure(map(search, names), "hard, rt:0, lq:0.4 at (s,s')=(4,2), budget 100")
 
 
 def _universal_witness(seed: int) -> tuple:
     table = ShrinkageFunction.from_table([1.0, 2.0, 50.0], [0.35, 0.2, 0.05])
     ops = [parse_operator(n, 5) for n in _OPERATORS] + [custom_operator(5, table)]
-    query = ConcavityQuery(5, 2)
-    floor = query.rho / (1 + query.rho) - 1e-9
-    for op in ops:
-        _, _, ratio = lower_bound_witness(op, query)
-        if ratio < floor:
-            return False, f"{op.name}: ratio {ratio} below {floor}"
-    return True, "all kinds incl. custom table at (5,2)"
+    result = check_universal_witness(ops, ConcavityQuery(5, 2))
+    return _first_failure([result], "all kinds incl. custom table at (5,2)")
 
 
 def _solver_guarantee(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
-    kappa = 2.0
     op = parse_operator("rt:0", 9)
     gamma = conc.gamma_reciprocal(1.0 / 9.0, 0.0)
-    for rule in (StepRule.fixed(), StepRule.adaptive()):
-        for _ in range(10):
-            obj = QuadraticObjective.random_instance(16, 1.0, kappa, rng, linear_scale=0.3)
-            trace = iterate_threshold(obj, op, np.zeros(16), rule, 80)
-            mini = obj.minimizer()
-            y = np.zeros(16)
-            keep = np.argsort(-np.abs(mini), kind="stable")[:1]
-            y[keep] = mini[keep]
-            ok = check_theorem1_bound(trace, y, gamma, kappa, obj.beta)
-            if not np.all(ok):
-                return False, "bound violated"
-            if np.any(trace.etas < 1.0 / obj.beta):
-                return False, "step below the floor"
-    return True, "10 instances x 2 step rules at kappa=2"
+    runs = (
+        check_theorem1_run(
+            QuadraticObjective.random_instance(16, 1.0, 2.0, rng, linear_scale=0.3),
+            op, rule, 80, 1, gamma,
+        )
+        for rule in (StepRule.fixed(), StepRule.adaptive())
+        for _ in range(10)
+    )
+    return _first_failure(runs, "10 instances x 2 step rules at kappa=2")
 
 
 def _traps(seed: int) -> tuple:
-    trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=seed)
-    if trap.objective.value(trap.x0) != 0.0:
-        return False, "f(x0) != 0"
-    if not trap.objective.value(trap.y) < -1e-10:
-        return False, "f(y) not negative"
-    trace = iterate_threshold(trap.objective, hard_operator(2), trap.x0, None, 20)
-    if not np.all(trace.xs == trap.x0):
-        return False, "trap not stationary"
+    op = hard_operator(2)
+    trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=seed)
     inst = build_prox_trap(3, np.asarray([1.0, -0.7, 1.3]))
-    recs = sweep_prox_path(inst, default_prox_lambda_grid(inst, interior=25))
-    if not all(r.disjunct_holds for r in recs):
-        return False, "prox disjunction failed"
-    return True, "hard trap stationary; prox sweep disjunction holds"
+    results = [
+        check_trap(trap.objective, op, trap.x0, trap.y, 20),
+        check_prox_sweep(inst, default_prox_lambda_grid(inst, interior=25)),
+    ]
+    return _first_failure(results, "hard trap stationary; prox sweep disjunction holds")
 
 
 def _lift(seed: int) -> tuple:
@@ -199,26 +304,35 @@ def _prox_l1_basics(seed: int) -> tuple:
     return True, "identity at 0, shrinkage toward 0"
 
 
-def run_validation_suite(seed: int = 0):
-    rng = np.random.default_rng(seed)
-    checks = [
-        ("operator-axioms", lambda: _operator_axioms(rng)),
-        ("closed-form-table", _closed_forms),
-        ("dominance-crossing", _dominance),
-        ("search-sandwich", lambda: _search_sandwich(seed)),
-        ("universal-witness", lambda: _universal_witness(seed)),
-        ("solver-guarantee", lambda: _solver_guarantee(seed)),
-        ("traps", lambda: _traps(seed)),
-        ("lifting", lambda: _lift(seed)),
-        ("prox-kkt", lambda: _prox_kkt(seed)),
-        ("regression-gradient", lambda: _regression_gradient(seed)),
-        ("prox-l1", lambda: _prox_l1_basics(seed)),
-    ]
+_CHECKS = [
+    ("operator-axioms", _operator_axioms),
+    ("closed-form-table", lambda seed: check_closed_form_table(np.arange(0.05, 0.951, 0.05))),
+    ("dominance-crossing", _dominance),
+    ("search-sandwich", _search_sandwich),
+    ("universal-witness", _universal_witness),
+    ("solver-guarantee", _solver_guarantee),
+    ("traps", _traps),
+    ("lifting", _lift),
+    ("prox-kkt", _prox_kkt),
+    ("regression-gradient", _regression_gradient),
+    ("prox-l1", _prox_l1_basics),
+]
+
+
+def run_validation_suite(seed: int = 0, on_result=None):
+    """Run every check in order; returns ``(name, passed, detail)`` triples.
+
+    ``on_result(name, passed, detail, seconds)``, when given, is called as
+    each check finishes, with its wall-clock time.
+    """
     results = []
-    for name, fn in checks:
+    for name, fn in _CHECKS:
+        t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = fn(seed)
         except Exception as exc:
             ok, detail = False, f"exception: {exc}"
         results.append((name, bool(ok), detail))
+        if on_result is not None:
+            on_result(*results[-1], time.perf_counter() - t0)
     return results

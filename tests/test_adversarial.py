@@ -17,7 +17,8 @@ from threshlab.operators import (
     reciprocal_operator,
     soft_operator,
 )
-from threshlab.solver import StepRule, iterate_prox, iterate_threshold
+from threshlab.solver import StepRule, iterate_prox
+from threshlab.validate import check_prox_sweep, check_trap
 
 
 class TestBuildTrap:
@@ -25,18 +26,14 @@ class TestBuildTrap:
         kappa = 1.5
         trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / kappa, 1.0, seed=0)
         assert trap.gamma_hat > 1.0 / (2.0 * kappa)
-        assert trap.objective.value(trap.x0) == 0.0
-        assert trap.objective.value(trap.y) < -1e-10
-        trace = iterate_threshold(trap.objective, hard_operator(2), trap.x0, None, 100)
-        assert np.all(trace.xs == trap.x0)
+        ok, detail = check_trap(trap.objective, hard_operator(2), trap.x0, trap.y, 100)
+        assert ok, detail
         assert trap.objective.value(trap.y) < trap.objective.value(trap.x0)
 
     def test_soft_kappa_one(self):
         trap = build_trap(soft_operator(2), ConcavityQuery(2, 2), 1.0, 1.0, seed=0)
-        assert trap.objective.value(trap.x0) == 0.0
-        assert trap.objective.value(trap.y) < -1e-10
-        trace = iterate_threshold(trap.objective, soft_operator(2), trap.x0, None, 100)
-        assert np.all(trace.xs == trap.x0)
+        ok, detail = check_trap(trap.objective, soft_operator(2), trap.x0, trap.y, 100)
+        assert ok, detail
 
     def test_reciprocal_high_rho(self):
         kappa = 5.0
@@ -44,11 +41,8 @@ class TestBuildTrap:
             reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), 1.0 / kappa, 1.0, seed=0
         )
         assert trap.gamma_hat > 1.0 / (2 * kappa)
-        trace = iterate_threshold(
-            trap.objective, reciprocal_operator(10, 0.0), trap.x0, None, 100
-        )
-        assert np.all(trace.xs == trap.x0)
-        assert trap.objective.value(trap.y) < -1e-10
+        ok, detail = check_trap(trap.objective, reciprocal_operator(10, 0.0), trap.x0, trap.y, 100)
+        assert ok, detail
 
     def test_no_trap_below_threshold(self):
         # optimal-parameter reciprocal at rho where gamma = rho/(1+rho) <= 1/(2 kappa)
@@ -134,8 +128,8 @@ class TestBuildProxTrap:
         weights = np.asarray([1.0, 2.0, 0.5])
         inst = build_prox_trap(3, v, weights=weights)
         np.testing.assert_array_equal(inst.w, weights * np.sign(v))
-        recs = sweep_prox_path(inst, default_prox_lambda_grid(inst))
-        assert all(r.disjunct_holds for r in recs)
+        ok, detail = check_prox_sweep(inst, default_prox_lambda_grid(inst))
+        assert ok, detail
 
 
 class TestSweepProxPath:
@@ -144,9 +138,8 @@ class TestSweepProxPath:
             rng = np.random.default_rng(seed)
             v = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
             inst = build_prox_trap(d, v)
-            grid = default_prox_lambda_grid(inst)
-            recs = sweep_prox_path(inst, grid)
-            assert all(r.disjunct_holds for r in recs)
+            ok, detail = check_prox_sweep(inst, default_prox_lambda_grid(inst))
+            assert ok, detail
 
     def test_grid_contains_breakpoints_and_zero(self):
         inst = build_prox_trap(3, np.asarray([0.8, -1.1, 0.4]))

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from threshlab.cli import main
 
 
@@ -254,11 +256,15 @@ def test_lowrank_demo(tmp_path):
     assert len(rows) == 10
 
 
-def test_validate_passes(tmp_path):
+def test_validate_passes(tmp_path, capsys):
     out = tmp_path / "val.csv"
     assert main(["validate", "--out", str(out)]) == 0
     _, columns, rows = read_csv(out)
     assert all(r[columns.index("passed")] == "1" for r in rows)
+    # stdout adds each check's time; the CSV has none, so it stays reproducible
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(rows) == 11
+    assert all(ln.startswith("PASS ") and ln.endswith(" ms)") for ln in printed)
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -292,3 +298,27 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert header3["n"] == "40" and header3["d"] == "60"
     ops = [r[columns3.index("operator")] for r in rows3]
     assert sorted(ops) == ["hard", "lasso", "rt:0"]
+
+
+
+@pytest.mark.parametrize(
+    "command, line, flags, message",
+    [
+        ("converge", "step=bogus", ["--step", "bogus"], "invalid choice: 'bogus'"),
+        ("converge", "dimm=10", ["--dimm", "10"], "unrecognized arguments: --dimm"),
+        ("regress", "with_lasso=maybe", [], "expected a boolean, got 'maybe'"),
+    ],
+    ids=["bad-value", "unknown-key", "bad-boolean"],
+)
+def test_config_line_fails_like_the_flag(tmp_path, capsys, command, line, flags, message):
+    # a bad config line stops the run with argparse's usage error (exit
+    # status 2), exactly as the same bad flag on the command line does
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    for extra in [["--config", str(cfg)]] + ([flags] if flags else []):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -28,6 +28,7 @@ from threshlab.operators import (
     reciprocal_operator,
     soft_operator,
 )
+from threshlab.validate import check_dominance, check_sandwich, check_universal_witness
 
 RHO_GRID = np.arange(0.05, 0.951, 0.05)
 
@@ -124,18 +125,30 @@ class TestClosedForms:
         assert closed_form_gamma(hard_operator(4), 1.0) == 0.5
 
 
+def _curves(rho):
+    # (rho, optimal, reciprocal at c = 0, hard) over the grid
+    g = [[gamma_optimal(r), gamma_reciprocal(r, 0.0), gamma_hard(r)] for r in rho]
+    return (rho, *np.transpose(g))
+
+
 class TestDominanceAndCrossing:
     def test_dominance_grid(self):
-        for rho in np.arange(0.01, 0.991, 0.01):
-            g_opt = gamma_optimal(rho)
-            g_rt = gamma_reciprocal(rho, 0.0)
-            assert g_opt <= g_rt + 1e-15
-            assert g_rt <= rho / min(1.0, 4 * (1 - rho)) + 1e-12
-            assert g_opt <= gamma_hard(rho) + 1e-15
+        ok, detail = check_dominance(*_curves(np.arange(0.01, 0.991, 0.01)))
+        assert ok, detail
 
     def test_crossing_small_rho(self):
-        for rho in np.arange(0.01, 0.251, 0.01):
-            assert gamma_reciprocal(rho, 0.0) < gamma_hard(rho)
+        ok, detail = check_dominance(*_curves(np.arange(0.01, 0.251, 0.01)))
+        assert ok, detail
+
+    def test_check_rejects_swapped_and_shifted_curves(self):
+        rho, g_opt, g_rt, g_hard = _curves(np.arange(0.01, 0.991, 0.01))
+        assert not check_dominance(rho, g_opt, g_hard, g_rt)[0]
+        assert check_dominance(rho, g_rt, g_opt, g_hard) == (False, "optimal above reciprocal at rho=0.01")
+        above = np.maximum(g_rt, rho / np.minimum(1.0, 4 * (1 - rho)) + 1e-11)
+        assert check_dominance(rho, g_opt, above, g_hard) == (False, "reciprocal above its bound at rho=0.01")
+        assert check_dominance(rho, g_opt, g_rt, g_rt) == (False, "crossing fails at rho=0.01")
+        ok, detail = check_dominance(rho, np.minimum(g_rt, g_hard + 1e-14), g_rt, g_hard)
+        assert not ok and detail.startswith("optimal above hard")
 
 
 class TestLowerBoundWitness:
@@ -163,17 +176,16 @@ class TestLowerBoundWitness:
             lq_operator(5, 0.4),
             custom_operator(5, table),
         ]
-        query = ConcavityQuery(5, 2)
-        floor = query.rho / (1 + query.rho) - 1e-9
-        for op in ops:
-            _, _, ratio = lower_bound_witness(op, query)
-            assert ratio >= floor, op.name
+        ok, detail = check_universal_witness(ops, ConcavityQuery(5, 2))
+        assert ok, detail
 
 
 class TestEmpiricalConcavity:
     def test_hard_wide_dimension(self):
         report = empirical_concavity(hard_operator(4), ConcavityQuery(4, 1, d=8), budget=300, seed=0)
-        assert 0.25 - 1e-6 <= report.empirical_max <= 0.25 + 1e-9
+        assert report.closed_form == 0.25
+        ok, detail = check_sandwich(report)
+        assert ok, detail
 
     def test_reciprocal_matches_closed_form(self):
         report = empirical_concavity(

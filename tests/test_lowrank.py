@@ -21,7 +21,8 @@ from threshlab.operators import (
     lq_operator,
     reciprocal_operator,
 )
-from threshlab.solver import QuadraticObjective, StepRule, convergence_bound_rhs
+from threshlab.solver import QuadraticObjective, StepRule
+from threshlab.validate import check_theorem7_run, check_trap
 
 
 def _random_orthogonal(rng, n):
@@ -185,16 +186,8 @@ class TestMatrixSolver:
         gamma = gamma_reciprocal(1.0 / 3.0, 0.0)
         for _ in range(5):
             obj = MatrixObjective.random_certified(8, 8, 1.0, kappa, rng)
-            trace = iterate_threshold_matrix(obj, lifted, np.zeros((8, 8)), None, 50)
-            M = obj.vec_objective.minimizer().reshape(8, 8)
-            U, sv, Vt = np.linalg.svd(M)
-            Y = sv[0] * np.outer(U[:, 0], Vt[0])
-            f_y = obj.value(Y)
-            d0 = float(np.sum((trace.x0 - Y) ** 2))
-            rhs = convergence_bound_rhs(
-                np.arange(1, 51), f_y, gamma, kappa, obj.beta, d0
-            )
-            assert np.all(trace.running_min <= rhs)
+            ok, detail = check_theorem7_run(obj, lifted, None, 50, gamma)
+            assert ok, detail
 
     def test_adaptive_rule_floor(self):
         rng = np.random.default_rng(9)
@@ -213,17 +206,8 @@ class TestMatrixSolver:
         gamma = gamma_reciprocal(1.0 / 3.0, 0.0)
         for _ in range(3):
             obj = MatrixObjective.random_certified(8, 8, 1.0, kappa, rng)
-            trace = iterate_threshold_matrix(
-                obj, lifted, np.zeros((8, 8)), StepRule.adaptive(), 50
-            )
-            M = obj.vec_objective.minimizer().reshape(8, 8)
-            U, sv, Vt = np.linalg.svd(M)
-            Y = sv[0] * np.outer(U[:, 0], Vt[0])
-            rhs = convergence_bound_rhs(
-                np.arange(1, 51), obj.value(Y), gamma, kappa, obj.beta,
-                float(np.sum((trace.x0 - Y) ** 2)),
-            )
-            assert np.all(trace.running_min <= rhs)
+            ok, detail = check_theorem7_run(obj, lifted, StepRule.adaptive(), 50, gamma)
+            assert ok, detail
 
     def test_requires_low_rank_start(self):
         rng = np.random.default_rng(10)
@@ -239,9 +223,5 @@ class TestMatrixTrap:
         obj, X0, Y, Z, gamma_hat = build_matrix_trap(
             hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=0
         )
-        assert obj.value(X0) == 0.0
-        assert obj.value(Y) < -1e-10
-        trace = iterate_threshold_matrix(
-            obj, LiftedOperator(hard_operator(2)), X0, None, 30
-        )
-        assert np.all(trace.xs == X0)
+        ok, detail = check_trap(obj, LiftedOperator(hard_operator(2)), X0, Y, 30)
+        assert ok, detail

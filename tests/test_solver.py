@@ -24,13 +24,7 @@ from threshlab.solver import (
     line_search_step,
     restricted_minimum_bruteforce,
 )
-
-
-def _truncate(v, k):
-    out = np.zeros_like(v)
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
-    out[keep] = v[keep]
-    return out
+from threshlab.validate import check_theorem1_run
 
 
 class TestQuadraticObjective:
@@ -139,9 +133,8 @@ class TestIterateThreshold:
             for _ in range(10):
                 obj = QuadraticObjective.random_instance(20, 1.0, kappa, rng, linear_scale=0.4)
                 for rule in (StepRule.fixed(), StepRule.adaptive()):
-                    trace = iterate_threshold(obj, op, np.zeros(20), rule, 60)
-                    y = _truncate(obj.minimizer(), 1)
-                    assert np.all(check_theorem1_bound(trace, y, gamma, kappa, obj.beta))
+                    ok, detail = check_theorem1_run(obj, op, rule, 60, 1, gamma)
+                    assert ok, detail
 
     def test_theorem1_bound_20dim_kappa3(self):
         # 20-dim quadratic, kappa=3, s=6, comparator truncated to s' = s/(2k-1) = 1
@@ -153,9 +146,8 @@ class TestIterateThreshold:
         op = reciprocal_operator(s, 0.0)
         for _ in range(10):
             obj = QuadraticObjective.random_instance(20, 1.0, kappa, rng, linear_scale=0.5)
-            trace = iterate_threshold(obj, op, np.zeros(20), None, 100)
-            y = _truncate(obj.minimizer(), sp)
-            assert np.all(check_theorem1_bound(trace, y, gamma, kappa, obj.beta))
+            ok, detail = check_theorem1_run(obj, op, None, 100, sp, gamma)
+            assert ok, detail
 
     def test_adaptive_descends_at_least_as_fast_directionally(self):
         # soft directional claim: the adaptive step's objective is at most the
