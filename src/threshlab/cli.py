@@ -41,7 +41,7 @@ from .solver import (
     convergence_bound_rhs,
     iterate_threshold,
 )
-from .validate import check_stationary, run_validation_suite
+from .validate import check_stationary, dominance_curves, run_validation_suite
 
 
 def _fmt(v) -> str:
@@ -76,38 +76,19 @@ def _step_rule(name: str) -> StepRule:
     return StepRule.adaptive() if name == "adaptive" else StepRule.fixed()
 
 
+def _config(args, *keys, **extra) -> dict:
+    """The header of a command's CSV: its name, the arguments ``keys`` and ``extra``."""
+    return {"command": args.command, **{k: getattr(args, k) for k in keys}, **extra}
+
+
 def cmd_concavity_curve(args) -> int:
-    grid = _parse_rho_grid(args.rho_grid)
-    config = {"command": "concavity-curve", "rho_grid": args.rho_grid}
-    columns = [
-        "rho",
-        "gamma_optimal",
-        "gamma_rt_universal",
-        "gamma_lq23",
-        "gamma_hard",
-        "kappa_max_optimal",
-        "kappa_max_rt",
-        "kappa_max_hard",
-    ]
-    rows = []
-    for rho in grid:
-        g_opt = conc.gamma_optimal(rho)
-        g_rt = conc.gamma_reciprocal(rho, 0.0)
-        g_lq = conc.gamma_lq(rho, 2.0 / 3.0)
-        g_hard = conc.gamma_hard(rho)
-        rows.append(
-            [
-                rho,
-                g_opt,
-                g_rt,
-                g_lq,
-                g_hard,
-                conc.kappa_max(g_opt),
-                conc.kappa_max(g_rt),
-                conc.kappa_max(g_hard),
-            ]
-        )
-    write_csv(args.out, config, columns, rows)
+    rho, g_opt, g_rt, g_hard = dominance_curves(_parse_rho_grid(args.rho_grid))
+    g_lq = [conc.gamma_lq(r, 2.0 / 3.0) for r in rho]
+    kappas = [[conc.kappa_max(g) for g in curve] for curve in (g_opt, g_rt, g_hard)]
+    columns = ["rho", "gamma_optimal", "gamma_rt_universal", "gamma_lq23", "gamma_hard"]
+    columns += ["kappa_max_optimal", "kappa_max_rt", "kappa_max_hard"]
+    rows = zip(rho, g_opt, g_rt, g_lq, g_hard, *kappas)
+    write_csv(args.out, _config(args, "rho_grid"), columns, rows)
     return 0
 
 
@@ -119,17 +100,7 @@ def cmd_converge(args) -> int:
     )
     op = parse_operator(args.operator, args.sparsity)
     rule = _step_rule(args.step)
-    config = {
-        "command": "converge",
-        "dim": args.dim,
-        "sparsity": args.sparsity,
-        "s_prime": args.s_prime,
-        "kappa": args.kappa,
-        "operator": args.operator,
-        "step": args.step,
-        "iters": args.iters,
-        "seed": args.seed,
-    }
+    config = _config(args, "dim", "sparsity", "s_prime", "kappa", "operator", "step", "iters", "seed")
     rho = args.s_prime / args.sparsity
     gamma = conc.closed_form_gamma(op, rho)
     with_bound = (
@@ -143,22 +114,13 @@ def cmd_converge(args) -> int:
     rows = []
     if args.iters > 0:
         trace = iterate_threshold(obj, op, np.zeros(args.dim), rule, args.iters)
-        running = trace.running_min
+        t = np.arange(1, args.iters + 1)
+        series = [t, trace.etas, trace.fs, trace.running_min]
         if with_bound:
             y = hard_operator(args.s_prime)(obj.minimizer())
-            rhs = convergence_bound_rhs(
-                np.arange(1, args.iters + 1),
-                obj.value(y),
-                gamma,
-                obj.kappa,
-                beta,
-                float(np.sum((trace.x0 - y) ** 2)),
-            )
-        for t in range(args.iters):
-            row = [t + 1, trace.etas[t], trace.fs[t], running[t]]
-            if with_bound:
-                row.append(rhs[t])
-            rows.append(row)
+            dist0_sq = float(np.sum((trace.x0 - y) ** 2))
+            series.append(convergence_bound_rhs(t, obj.value(y), gamma, obj.kappa, beta, dist0_sq))
+        rows = zip(*series)
     write_csv(args.out, config, columns, rows)
     return 0
 
@@ -169,16 +131,7 @@ def cmd_trap(args) -> int:
     query = ConcavityQuery(s, s_prime)
     op = parse_operator(args.operator, s)
     alpha, beta = 1.0 / float(args.kappa), 1.0
-    config = {
-        "command": "trap",
-        "operator": args.operator,
-        "kappa": args.kappa,
-        "rho": args.rho,
-        "sparsity": s,
-        "s_prime": s_prime,
-        "iters": args.iters,
-        "seed": args.seed,
-    }
+    config = _config(args, "operator", "kappa", "rho", "sparsity", "iters", "seed", s_prime=s_prime)
     try:
         trap = build_trap(op, query, alpha, beta, seed=args.seed)
     except ConcavityTooSmallError:
@@ -208,7 +161,7 @@ def cmd_prox_trap(args) -> int:
     instance = build_prox_trap(args.dim, v)
     grid = default_prox_lambda_grid(instance)
     records = sweep_prox_path(instance, grid)
-    config = {"command": "prox-trap", "dim": args.dim, "seed": args.seed, "c": instance.c}
+    config = _config(args, "dim", "seed", c=instance.c)
     columns = ["lambda", "nnz", "f_value", "dense", "f_exceeds_f_y", "disjunct_holds"]
     rows = [
         [r.lam, r.nnz, r.f_value, int(r.dense), int(r.beats_trap), int(r.disjunct_holds)]
@@ -233,69 +186,31 @@ def cmd_regress(args) -> int:
     )
     kappa_hat = 1.0 if args.design == "iid-gaussian" else float(args.kappa)
     s = min(int(math.ceil(3.0 * kappa_hat * args.s0)), args.d)
-    config = {
-        "command": "regress",
-        "design": args.design,
-        "n": args.n,
-        "d": args.d,
-        "s0": args.s0,
-        "sigma": args.sigma,
-        "kappa": args.kappa,
-        "delta": args.delta,
-        "reps": args.reps,
-        "seed": args.seed,
-        "operators": "+".join(args.operators),
-        "with_lasso": int(args.with_lasso),
-        "s": s,
-    }
-    columns = [
-        "seed",
-        "operator",
-        "prediction_error",
-        "bound_rhs",
-        "violated",
-        "nnz",
-        "iterations",
-        "wall_time",
-    ]
+    config = _config(
+        args, "design", "n", "d", "s0", "sigma", "kappa", "delta", "reps", "seed",
+        operators="+".join(args.operators), with_lasso=int(args.with_lasso), s=s,
+    )
+    columns = ["seed", "operator", "prediction_error", "bound_rhs", "violated", "nnz", "iterations"]
+    columns.append("wall_time")
+    # the lasso baseline (op None) has no bound: its bound_rhs is nan
+    fits = [(name, parse_operator(name, s)) for name in args.operators]
+    fits += [("lasso", None)] if args.with_lasso else []
     rows = []
     for rep in range(args.reps):
         inst = reg.generate_instance(spec, args.s0, args.sigma, args.seed + rep)
-        for op_name in args.operators:
-            op = parse_operator(op_name, s)
+        for name, op in fits:
             t0 = time.perf_counter()
-            _, report = reg.fit_iterative(
-                inst, op, s, T=args.iters, kappa_hat=kappa_hat, delta=args.delta
-            )
+            if op is None:
+                _, report = reg.fit_lasso_baseline(inst)
+            else:
+                _, report = reg.fit_iterative(
+                    inst, op, s, T=args.iters, kappa_hat=kappa_hat, delta=args.delta
+                )
             wall = time.perf_counter() - t0
-            rows.append(
-                [
-                    args.seed + rep,
-                    op_name,
-                    report.prediction_error,
-                    report.bound_rhs,
-                    int(bool(report.bound_violated)),
-                    report.nnz,
-                    report.iterations,
-                    wall,
-                ]
-            )
-        if args.with_lasso:
-            t0 = time.perf_counter()
-            _, report = reg.fit_lasso_baseline(inst)
-            wall = time.perf_counter() - t0
-            rows.append(
-                [
-                    args.seed + rep,
-                    "lasso",
-                    report.prediction_error,
-                    float("nan"),
-                    0,
-                    report.nnz,
-                    report.iterations,
-                    wall,
-                ]
-            )
+            rhs = math.nan if report.bound_rhs is None else report.bound_rhs
+            violated = int(bool(report.bound_violated))
+            row = [report.prediction_error, rhs, violated, report.nnz, report.iterations, wall]
+            rows.append([args.seed + rep, name, *row])
     rows.sort(key=lambda r: (r[0], r[1]))
     write_csv(args.out, config, columns, rows)
     return 0
@@ -305,17 +220,7 @@ def cmd_lowrank_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     base = parse_operator(args.operator, args.rank)
     lifted = LiftedOperator(base)
-    config = {
-        "command": "lowrank-demo",
-        "n": args.n,
-        "m": args.m,
-        "rank": args.rank,
-        "rank_prime": args.rank_prime,
-        "operator": args.operator,
-        "kappa": args.kappa,
-        "iters": args.iters,
-        "seed": args.seed,
-    }
+    config = _config(args, "n", "m", "rank", "rank_prime", "operator", "kappa", "iters", "seed")
     # one exact step recovers an exact-rank target
     A = rng.standard_normal((args.n, args.rank)) @ rng.standard_normal((args.rank, args.m))
     one_step = lift_apply(base, A)
@@ -344,14 +249,11 @@ def cmd_lowrank_demo(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    def show(name, ok, detail, seconds):
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({seconds * 1e3:.1f} ms)", flush=True)
-
-    results = run_validation_suite(seed=args.seed, on_result=show)
+    results = run_validation_suite(seed=args.seed)
     if args.out:
         write_csv(
             args.out,
-            {"command": "validate", "seed": args.seed},
+            _config(args, "seed"),
             ["check", "passed", "detail"],
             [[name, int(ok), detail.replace(",", ";")] for name, ok, detail in results],
         )

@@ -79,6 +79,13 @@ def check_dominance(rho, g_opt, g_rt, g_hard) -> tuple:
     return True, "dominance and crossing on rho grid"
 
 
+def dominance_curves(rho) -> tuple:
+    """``(rho, g_opt, g_rt, g_hard)``: the arrays ``check_dominance`` takes,
+    from the closed forms (optimal, reciprocal at c = 0, hard) on the grid."""
+    g = [[conc.gamma_optimal(r), conc.gamma_reciprocal(r, 0.0), conc.gamma_hard(r)] for r in rho]
+    return (rho, *np.transpose(g))
+
+
 def check_sandwich(report: conc.ConcavityReport) -> tuple:
     """The search is sound and tight: cf - 1e-6 <= empirical_max <= cf + 1e-9.
 
@@ -128,14 +135,9 @@ def check_theorem7_run(obj, lifted, rule, T: int, gamma: float) -> tuple:
     trace = iterate_threshold_matrix(obj, lifted, np.zeros((n, m)), rule, T)
     U, sv, Vt = np.linalg.svd(obj.vec_objective.minimizer().reshape(n, m))
     Y = sv[0] * np.outer(U[:, 0], Vt[0])
-    rhs = convergence_bound_rhs(
-        np.arange(1, T + 1),
-        obj.value(Y),
-        gamma,
-        obj.beta / obj.alpha,
-        obj.beta,
-        float(np.sum((trace.x0 - Y) ** 2)),
-    )
+    dist0_sq = float(np.sum((trace.x0 - Y) ** 2))
+    t = np.arange(1, T + 1)
+    rhs = convergence_bound_rhs(t, obj.value(Y), gamma, obj.beta / obj.alpha, obj.beta, dist0_sq)
     return bool(np.all(trace.running_min <= rhs)), f"{T} matrix steps under the bound"
 
 
@@ -199,29 +201,20 @@ def _operator_axioms(seed: int) -> tuple:
     return True, f"40 random inputs x {len(_OPERATORS)} operators"
 
 
-def _dominance(seed: int) -> tuple:
-    rho = np.arange(0.01, 0.991, 0.01)
-    curves = [
-        [conc.gamma_optimal(r), conc.gamma_reciprocal(r, 0.0), conc.gamma_hard(r)] for r in rho
-    ]
-    return check_dominance(rho, *np.transpose(curves))
-
-
 def _search_sandwich(seed: int) -> tuple:
-    def search(name):
+    results = []
+    for name in ["hard", "rt:0", "lq:0.4"]:
         op = parse_operator(name, 4)
         ok, detail = check_sandwich(empirical_concavity(op, ConcavityQuery(4, 2), budget=100, seed=seed))
-        return ok, f"{name}: {detail}"
-
-    names = ["hard", "rt:0", "lq:0.4"]
-    return _first_failure(map(search, names), "hard, rt:0, lq:0.4 at (s,s')=(4,2), budget 100")
+        results.append((ok, f"{name}: {detail}"))
+    return _first_failure(results, "hard, rt:0, lq:0.4 at (s,s')=(4,2), budget 100")
 
 
 def _universal_witness(seed: int) -> tuple:
     table = ShrinkageFunction.from_table([1.0, 2.0, 50.0], [0.35, 0.2, 0.05])
     ops = [parse_operator(n, 5) for n in _OPERATORS] + [custom_operator(5, table)]
-    result = check_universal_witness(ops, ConcavityQuery(5, 2))
-    return _first_failure([result], "all kinds incl. custom table at (5,2)")
+    results = [check_universal_witness(ops, ConcavityQuery(5, 2))]
+    return _first_failure(results, "all kinds incl. custom table at (5,2)")
 
 
 def _solver_guarantee(seed: int) -> tuple:
@@ -243,10 +236,8 @@ def _traps(seed: int) -> tuple:
     op = hard_operator(2)
     trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=seed)
     inst = build_prox_trap(3, np.asarray([1.0, -0.7, 1.3]))
-    results = [
-        check_trap(trap.objective, op, trap.x0, trap.y, 20),
-        check_prox_sweep(inst, default_prox_lambda_grid(inst, interior=25)),
-    ]
+    grid = default_prox_lambda_grid(inst, interior=25)
+    results = [check_trap(trap.objective, op, trap.x0, trap.y, 20), check_prox_sweep(inst, grid)]
     return _first_failure(results, "hard trap stationary; prox sweep disjunction holds")
 
 
@@ -307,7 +298,7 @@ def _prox_l1_basics(seed: int) -> tuple:
 _CHECKS = [
     ("operator-axioms", _operator_axioms),
     ("closed-form-table", lambda seed: check_closed_form_table(np.arange(0.05, 0.951, 0.05))),
-    ("dominance-crossing", _dominance),
+    ("dominance-crossing", lambda seed: check_dominance(*dominance_curves(np.arange(0.01, 0.991, 0.01)))),
     ("search-sandwich", _search_sandwich),
     ("universal-witness", _universal_witness),
     ("solver-guarantee", _solver_guarantee),
@@ -319,12 +310,9 @@ _CHECKS = [
 ]
 
 
-def run_validation_suite(seed: int = 0, on_result=None):
-    """Run every check in order; returns ``(name, passed, detail)`` triples.
-
-    ``on_result(name, passed, detail, seconds)``, when given, is called as
-    each check finishes, with its wall-clock time.
-    """
+def run_validation_suite(seed: int = 0):
+    """Run every check in order, printing each result with its time as it
+    finishes; returns ``(name, passed, detail)`` triples."""
     results = []
     for name, fn in _CHECKS:
         t0 = time.perf_counter()
@@ -333,6 +321,6 @@ def run_validation_suite(seed: int = 0, on_result=None):
         except Exception as exc:
             ok, detail = False, f"exception: {exc}"
         results.append((name, bool(ok), detail))
-        if on_result is not None:
-            on_result(*results[-1], time.perf_counter() - t0)
+        ms = (time.perf_counter() - t0) * 1e3
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({ms:.1f} ms)", flush=True)
     return results

@@ -21,10 +21,15 @@ def read_csv(path):
     return header, columns, rows
 
 
+def run_csv(tmp_path, line, name="out.csv"):
+    # run one command line (given as a string) that must succeed; parse its CSV
+    out = tmp_path / name
+    assert main(line.split() + ["--out", str(out)]) == 0
+    return read_csv(out)
+
+
 def test_concavity_curve_schema_and_values(tmp_path):
-    out = tmp_path / "curve.csv"
-    assert main(["concavity-curve", "--out", str(out), "--rho-grid", "0.05:0.95:0.05"]) == 0
-    header, columns, rows = read_csv(out)
+    header, columns, rows = run_csv(tmp_path, "concavity-curve --rho-grid 0.05:0.95:0.05")
     assert header["command"] == "concavity-curve"
     assert columns[:5] == ["rho", "gamma_optimal", "gamma_rt_universal", "gamma_lq23", "gamma_hard"]
     byrho = {round(float(r[0]), 4): r for r in rows}
@@ -57,30 +62,8 @@ def test_reproducible_bit_for_bit(tmp_path):
 
 
 def test_converge_bound_column_and_monotonicity(tmp_path):
-    out = tmp_path / "conv.csv"
-    assert (
-        main(
-            [
-                "converge",
-                "--out",
-                str(out),
-                "--dim",
-                "20",
-                "--sparsity",
-                "9",
-                "--s-prime",
-                "1",
-                "--kappa",
-                "2",
-                "--operator",
-                "rt:0",
-                "--iters",
-                "60",
-            ]
-        )
-        == 0
-    )
-    header, columns, rows = read_csv(out)
+    line = "converge --dim 20 --sparsity 9 --s-prime 1 --kappa 2 --operator rt:0 --iters 60"
+    header, columns, rows = run_csv(tmp_path, line)
     assert "theorem1_rhs" in columns
     run_min = [float(r[columns.index("running_min_f")]) for r in rows]
     rhs = [float(r[columns.index("theorem1_rhs")]) for r in rows]
@@ -89,74 +72,30 @@ def test_converge_bound_column_and_monotonicity(tmp_path):
 
 
 def test_converge_no_bound_column_for_soft(tmp_path):
-    out = tmp_path / "conv_soft.csv"
-    assert main(["converge", "--out", str(out), "--operator", "soft", "--iters", "5"]) == 0
-    _, columns, _ = read_csv(out)
+    _, columns, _ = run_csv(tmp_path, "converge --operator soft --iters 5")
     assert "theorem1_rhs" not in columns
 
 
 def test_converge_zero_iters_header_only(tmp_path):
-    out = tmp_path / "conv0.csv"
-    assert main(["converge", "--out", str(out), "--iters", "0"]) == 0
-    _, columns, rows = read_csv(out)
+    _, columns, rows = run_csv(tmp_path, "converge --iters 0")
     assert columns[0] == "t"
     assert rows == []
 
 
 def test_trap_found_and_not_found(tmp_path, capsys):
-    out = tmp_path / "trap.csv"
-    assert (
-        main(
-            [
-                "trap",
-                "--out",
-                str(out),
-                "--operator",
-                "hard",
-                "--kappa",
-                "1.5",
-                "--rho",
-                "1.0",
-                "--sparsity",
-                "2",
-                "--iters",
-                "100",
-            ]
-        )
-        == 0
-    )
-    header, columns, rows = read_csv(out)
+    line = "trap --operator hard --kappa 1.5 --rho 1.0 --sparsity 2 --iters 100"
+    header, columns, rows = run_csv(tmp_path, line, "trap.csv")
     assert rows[0][columns.index("trap_found")] == "1"
     assert rows[0][columns.index("stationary")] == "1"
     assert float(rows[0][columns.index("f_y")]) < -1e-10
 
-    out2 = tmp_path / "notrap.csv"
-    assert (
-        main(
-            [
-                "trap",
-                "--out",
-                str(out2),
-                "--operator",
-                "rt:0.25",
-                "--kappa",
-                "1.2",
-                "--rho",
-                "0.25",
-                "--sparsity",
-                "4",
-            ]
-        )
-        == 0
-    )
+    run_csv(tmp_path, "trap --operator rt:0.25 --kappa 1.2 --rho 0.25 --sparsity 4", "notrap.csv")
     captured = capsys.readouterr()
     assert "no trap" in captured.out
 
 
 def test_prox_trap_disjunction(tmp_path):
-    out = tmp_path / "pt.csv"
-    assert main(["prox-trap", "--out", str(out), "--dim", "2"]) == 0
-    _, columns, rows = read_csv(out)
+    _, columns, rows = run_csv(tmp_path, "prox-trap --dim 2")
     j = columns.index("disjunct_holds")
     assert all(r[j] == "1" for r in rows)
     lams = [float(r[columns.index("lambda")]) for r in rows]
@@ -164,32 +103,8 @@ def test_prox_trap_disjunction(tmp_path):
 
 
 def test_regress_schema_and_sanity(tmp_path):
-    out = tmp_path / "reg.csv"
-    assert (
-        main(
-            [
-                "regress",
-                "--out",
-                str(out),
-                "--n",
-                "100",
-                "--d",
-                "200",
-                "--s0",
-                "4",
-                "--reps",
-                "3",
-                "--iters",
-                "40",
-                "--operators",
-                "rt:0",
-                "hard",
-                "--with-lasso",
-            ]
-        )
-        == 0
-    )
-    header, columns, rows = read_csv(out)
+    line = "regress --n 100 --d 200 --s0 4 --reps 3 --iters 40 --operators rt:0 hard --with-lasso"
+    header, columns, rows = run_csv(tmp_path, line)
     assert header["s"] == "12"
     ops = {r[columns.index("operator")] for r in rows}
     assert ops == {"rt:0", "hard", "lasso"}
@@ -215,51 +130,19 @@ def test_regress_reproducible_except_wall_time(tmp_path):
 
 
 def test_regress_noiseless_orthogonalish_error_zero(tmp_path):
-    out = tmp_path / "reg0.csv"
-    assert (
-        main(
-            [
-                "regress",
-                "--out",
-                str(out),
-                "--design",
-                "correlated-gaussian",
-                "--kappa",
-                "1",
-                "--n",
-                "60",
-                "--d",
-                "12",
-                "--s0",
-                "2",
-                "--sigma",
-                "0",
-                "--reps",
-                "1",
-                "--iters",
-                "50",
-                "--operators",
-                "hard",
-            ]
-        )
-        == 0
-    )
-    _, columns, rows = read_csv(out)
+    line = "regress --design correlated-gaussian --kappa 1 --n 60 --d 12 --s0 2 --sigma 0 --reps 1"
+    _, columns, rows = run_csv(tmp_path, line + " --iters 50 --operators hard")
     assert float(rows[0][columns.index("prediction_error")]) <= 1e-16
 
 
 def test_lowrank_demo(tmp_path):
-    out = tmp_path / "lr.csv"
-    assert main(["lowrank-demo", "--out", str(out), "--iters", "10"]) == 0
-    header, columns, rows = read_csv(out)
+    header, columns, rows = run_csv(tmp_path, "lowrank-demo --iters 10")
     assert float(header["eckart_young_gap"]) < 1e-10
     assert len(rows) == 10
 
 
 def test_validate_passes(tmp_path, capsys):
-    out = tmp_path / "val.csv"
-    assert main(["validate", "--out", str(out)]) == 0
-    _, columns, rows = read_csv(out)
+    _, columns, rows = run_csv(tmp_path, "validate")
     assert all(r[columns.index("passed")] == "1" for r in rows)
     # stdout adds each check's time; the CSV has none, so it stays reproducible
     printed = capsys.readouterr().out.splitlines()
@@ -298,7 +181,6 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert header3["n"] == "40" and header3["d"] == "60"
     ops = [r[columns3.index("operator")] for r in rows3]
     assert sorted(ops) == ["hard", "lasso", "rt:0"]
-
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,12 @@ from threshlab.operators import (
     reciprocal_operator,
     soft_operator,
 )
-from threshlab.validate import check_dominance, check_sandwich, check_universal_witness
+from threshlab.validate import (
+    check_dominance,
+    check_sandwich,
+    check_universal_witness,
+    dominance_curves,
+)
 
 RHO_GRID = np.arange(0.05, 0.951, 0.05)
 
@@ -125,23 +130,17 @@ class TestClosedForms:
         assert closed_form_gamma(hard_operator(4), 1.0) == 0.5
 
 
-def _curves(rho):
-    # (rho, optimal, reciprocal at c = 0, hard) over the grid
-    g = [[gamma_optimal(r), gamma_reciprocal(r, 0.0), gamma_hard(r)] for r in rho]
-    return (rho, *np.transpose(g))
-
-
 class TestDominanceAndCrossing:
     def test_dominance_grid(self):
-        ok, detail = check_dominance(*_curves(np.arange(0.01, 0.991, 0.01)))
+        ok, detail = check_dominance(*dominance_curves(np.arange(0.01, 0.991, 0.01)))
         assert ok, detail
 
     def test_crossing_small_rho(self):
-        ok, detail = check_dominance(*_curves(np.arange(0.01, 0.251, 0.01)))
+        ok, detail = check_dominance(*dominance_curves(np.arange(0.01, 0.251, 0.01)))
         assert ok, detail
 
     def test_check_rejects_swapped_and_shifted_curves(self):
-        rho, g_opt, g_rt, g_hard = _curves(np.arange(0.01, 0.991, 0.01))
+        rho, g_opt, g_rt, g_hard = dominance_curves(np.arange(0.01, 0.991, 0.01))
         assert not check_dominance(rho, g_opt, g_hard, g_rt)[0]
         assert check_dominance(rho, g_rt, g_opt, g_hard) == (False, "optimal above reciprocal at rho=0.01")
         above = np.maximum(g_rt, rho / np.minimum(1.0, 4 * (1 - rho)) + 1e-11)
