@@ -68,6 +68,7 @@ from .regression import (
 )
 from .solver import (
     ContractViolationError,
+    Gram,
     IterateTrace,
     QuadraticObjective,
     StepRule,
@@ -76,7 +77,6 @@ from .solver import (
     iterate_prox,
     iterate_threshold,
     kkt_residual_l1,
-    line_search_step,
     restricted_minimum_bruteforce,
 )
 

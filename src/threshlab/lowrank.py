@@ -195,6 +195,10 @@ class MatrixObjective:
     def beta(self) -> float:
         return self.vec_objective.beta
 
+    def value_and_grad(self, X) -> tuple:
+        f, g = self.vec_objective.value_and_grad(np.asarray(X, dtype=float).ravel())
+        return f, g.reshape(self.shape)
+
     def value(self, X) -> float:
         return self.vec_objective.value(np.asarray(X, dtype=float).ravel())
 

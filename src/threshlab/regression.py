@@ -9,11 +9,17 @@ lasso baseline, measures prediction error against the high-probability bound
 
 and Monte Carlo validates the chi-square union tail used in its proof.
 
-Conditioning is certified from the realized design: for n >= d the correlated
-construction sets the Gram spectrum explicitly (whiten then color), so the
-certified kappa equals the request up to float error.  In the underdetermined
-regime only the adversarial block is certified; iid designs there follow the
-usual random-design heuristic with kappa taken as 1.
+Conditioning is certified from the realized design, by ``eigvalsh`` of the
+smaller of the Gram matrices X'X/n and XX'/n (they share their nonzero
+eigenvalues): for n >= d the correlated construction sets the Gram spectrum
+explicitly (whiten then color), so the certified kappa equals the request up
+to float error.  In the underdetermined regime only the adversarial block is
+certified; iid designs there follow the usual random-design heuristic with
+kappa taken as 1.
+
+The loss's Hessian is X'X/n.  When d > n it stays factored as a ``Gram``
+(applied as X'(X v)/n), since the d x d matrix would be larger than X; when
+d <= n it is formed densely, being no larger than X.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .operators import InvalidParameterError, ThresholdingOperator
-from .solver import QuadraticObjective, StepRule, iterate_prox, iterate_threshold
+from .solver import Gram, QuadraticObjective, StepRule, iterate_prox, iterate_threshold
 
 
 class InfeasibleSpecError(ValueError):
@@ -104,8 +110,11 @@ class RegressionInstance:
         return self.X.shape[1]
 
     def objective(self) -> QuadraticObjective:
-        """f(theta) = ||y - X theta||^2 / (2n), up to the constant ||y||^2/2n."""
-        H = self.X.T @ self.X / self.n
+        """f(theta) = ||y - X theta||^2 / (2n), up to the constant ||y||^2/2n.
+
+        The Hessian X'X/n is a factored ``Gram`` when d > n, dense otherwise.
+        """
+        H = self.X.T @ self.X / self.n if self.d <= self.n else Gram(self.X)
         g = -self.X.T @ self.y / self.n
         return QuadraticObjective(
             H, m=np.zeros(self.d), g=g, alpha=self.alpha, beta=self.beta, validate=False
@@ -213,9 +222,7 @@ def generate_instance(
     theta0[positions] = amplitude * rng.choice([-1.0, 1.0], size=s0)
     y = X @ theta0 + sigma * rng.standard_normal(n)
 
-    sv = np.linalg.svd(X, compute_uv=False)
-    beta = float(sv[0] ** 2) / n
-    alpha = float(sv[-1] ** 2) / n if n >= d else 0.0
+    alpha, beta = Gram(X).eig_range()
     return RegressionInstance(
         X, theta0, sigma, y, seed, s0, spec, alpha, beta, block_alpha, block_beta
     )

@@ -6,6 +6,11 @@ alpha <= eig(H) <= beta.  Full-spectrum bounds imply restricted strong
 convexity and smoothness at every sparsity level, which is what the
 convergence guarantee consumes.
 
+The Hessian is a dense d x d array, or a ``Gram`` that applies X'X/n as
+X' (X v) / n from the n x d factor X, so a regression objective with d > n
+never forms the d x d matrix.  The solver asks for f and its gradient
+together (``value_and_grad``), one Hessian product per evaluated point.
+
 Step sizes: fixed eta = 1/beta, or backtracking from a large initial step,
 halving until the curvature condition
 
@@ -18,6 +23,7 @@ step therefore never falls below 1/beta.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,16 +43,51 @@ class SpectrumCertificationError(ValueError):
 _CERT_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class Gram:
+    """The Gram matrix X'X/n of an n x d matrix X, kept factored.
+
+    ``H @ v`` costs two thin matrix-vector products instead of one d x d
+    product, and no d x d array is ever formed.
+    """
+
+    X: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        d = self.X.shape[1]
+        return (d, d)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the factor each product reads."""
+        return self.X.nbytes
+
+    def __matmul__(self, v):
+        return self.X.T @ (self.X @ v) / self.X.shape[0]
+
+    def eig_range(self) -> tuple:
+        """(smallest, largest) eigenvalue of X'X/n, from ``eigvalsh`` of the
+        smaller of X'X/n and XX'/n.  The two share their nonzero eigenvalues,
+        and X'X/n is singular when d > n, so its smallest is then 0."""
+        n, d = self.X.shape
+        small = self.X.T @ self.X if d <= n else self.X @ self.X.T
+        eigs = np.linalg.eigvalsh(small / n)
+        return (max(float(eigs[0]), 0.0) if d <= n else 0.0), float(eigs[-1])
+
+
 @dataclass
 class QuadraticObjective:
     """f(x) = (x-m)' H (x-m)/2 + g'(x-m), with certified spectrum [alpha, beta].
 
-    Construction verifies the declared bounds by eigendecomposition (to a
-    1e-9 scale tolerance) unless ``validate=False``; the caller then owns an
-    equivalent certification, e.g. singular values of a design matrix.
+    ``H`` is a dense symmetric array or a factored ``Gram``.  Construction
+    verifies the declared bounds to a 1e-9 scale tolerance: a dense H by its
+    eigendecomposition, a Gram by ``Gram.eig_range`` (``eigvalsh`` of the
+    smaller of X'X/n and XX'/n).  With ``validate=False`` the caller owns an
+    equivalent certification, as ``generate_instance`` does.
     """
 
-    H: np.ndarray
+    H: np.ndarray | Gram
     m: np.ndarray
     g: np.ndarray
     alpha: float
@@ -54,7 +95,8 @@ class QuadraticObjective:
     validate: bool = True
 
     def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
+        if not isinstance(self.H, Gram):
+            self.H = np.asarray(self.H, dtype=float)
         self.m = np.asarray(self.m, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         d = self.H.shape[0]
@@ -64,16 +106,20 @@ class QuadraticObjective:
             raise InvalidParameterError("need alpha <= beta")
         if self.validate:
             scale = max(1.0, abs(self.beta))
-            if not np.allclose(self.H, self.H.T, atol=_CERT_TOL * scale):
-                raise SpectrumCertificationError("H is not symmetric")
-            eigs = np.linalg.eigvalsh(self.H)
-            if eigs[0] < self.alpha - _CERT_TOL * scale:
+            if isinstance(self.H, Gram):
+                lo, hi = self.H.eig_range()
+            else:
+                if not np.allclose(self.H, self.H.T, atol=_CERT_TOL * scale):
+                    raise SpectrumCertificationError("H is not symmetric")
+                eigs = np.linalg.eigvalsh(self.H)
+                lo, hi = eigs[0], eigs[-1]
+            if lo < self.alpha - _CERT_TOL * scale:
                 raise SpectrumCertificationError(
-                    f"smallest eigenvalue {eigs[0]} below alpha={self.alpha}"
+                    f"smallest eigenvalue {lo} below alpha={self.alpha}"
                 )
-            if eigs[-1] > self.beta + _CERT_TOL * scale:
+            if hi > self.beta + _CERT_TOL * scale:
                 raise SpectrumCertificationError(
-                    f"largest eigenvalue {eigs[-1]} above beta={self.beta}"
+                    f"largest eigenvalue {hi} above beta={self.beta}"
                 )
 
     @property
@@ -84,19 +130,30 @@ class QuadraticObjective:
     def kappa(self) -> float:
         return self.beta / self.alpha
 
-    def value(self, x) -> float:
-        dx = np.asarray(x, dtype=float) - self.m
-        return float(0.5 * dx @ (self.H @ dx) + self.g @ dx)
-
-    def grad(self, x) -> np.ndarray:
+    def value_and_grad(self, x) -> tuple:
+        """``(f(x), grad f(x))`` from one Hessian product ``H @ (x - m)``."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.m.shape:
-            raise InvalidParameterError("dimension mismatch in gradient")
-        return self.H @ (x - self.m) + self.g
+            raise InvalidParameterError("dimension mismatch")
+        dx = x - self.m
+        hdx = self.H @ dx
+        return float(0.5 * dx @ hdx + self.g @ dx), hdx + self.g
+
+    def value(self, x) -> float:
+        return self.value_and_grad(x)[0]
+
+    def grad(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def _dense_hessian(self, what: str) -> np.ndarray:
+        """The dense H, for ``what`` that needs one; a factored Gram raises."""
+        if isinstance(self.H, Gram):
+            raise InvalidParameterError(f"{what} needs a dense Hessian, not a factored Gram")
+        return self.H
 
     def minimizer(self) -> np.ndarray:
-        """Unconstrained minimizer m - H^{-1} g (requires alpha > 0)."""
-        return self.m - np.linalg.solve(self.H, self.g)
+        """Unconstrained minimizer m - H^{-1} g (requires alpha > 0, dense H)."""
+        return self.m - np.linalg.solve(self._dense_hessian("minimizer"), self.g)
 
     @classmethod
     def random_instance(
@@ -179,7 +236,8 @@ def _step(obj, x, fx, gx, step_map, rule):
 
     ``step_map(v, eta)`` maps the gradient point ``v = x - eta * gx`` to the
     next iterate.  The adaptive rule backtracks until the curvature condition
-    holds, never below the 1/beta floor.  Returns ``(x_next, eta, f(x_next))``.
+    holds, never below the 1/beta floor.  Each candidate costs one
+    ``value_and_grad``.  Returns ``(x_next, eta, f(x_next), grad f(x_next))``.
     """
     floor = 1.0 / obj.beta
     if rule.kind == "adaptive":
@@ -187,41 +245,43 @@ def _step(obj, x, fx, gx, step_map, rule):
         while eta > floor:
             cand = step_map(x - eta * gx, eta)
             step = cand - x
-            f_cand = obj.value(cand)
+            f_cand, g_cand = obj.value_and_grad(cand)
             if f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta):
-                return cand, eta, f_cand
+                return cand, eta, f_cand, g_cand
             eta = max(eta * rule.shrink, floor)
     # at the floor the curvature condition holds by restricted smoothness
     x_next = step_map(x - floor * gx, floor)
-    return x_next, floor, obj.value(x_next)
+    return (x_next, floor, *obj.value_and_grad(x_next))
+
+
+def _finite(fx: float, where: str) -> float:
+    if not math.isfinite(fx):
+        raise InvalidParameterError(f"objective value {fx} at {where} is not finite")
+    return fx
 
 
 def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
-    """Run T steps of ``_step`` from x0; ``stop(x)`` true ends the run early."""
+    """Run T steps of ``_step`` from x0; ``stop(x, grad f(x))`` true ends the
+    run early.  A non-finite entry of x0, or a non-finite f at x0 or at an
+    accepted iterate, raises InvalidParameterError."""
     rule = rule or StepRule.fixed()
     x = x0 = np.array(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParameterError("x0 is not finite")
     # lists, not (T, ...) arrays: T is only a cap when ``stop`` ends runs early
     xs, etas, fs = [], [], []
-    f0 = fx = obj.value(x)
-    for _ in range(T):
-        x, eta, fx = _step(obj, x, fx, obj.grad(x), step_map, rule)
+    fx, gx = obj.value_and_grad(x)
+    f0 = _finite(fx, "x0")
+    for t in range(1, T + 1):
+        x, eta, fx, gx = _step(obj, x, fx, gx, step_map, rule)
         xs.append(x)
         etas.append(eta)
-        fs.append(fx)
-        if stop is not None and stop(x):
+        fs.append(_finite(fx, f"iterate {t}"))
+        if stop is not None and stop(x, gx):
             break
     return IterateTrace(
         x0, f0, np.asarray(xs), np.asarray(etas, dtype=float), np.asarray(fs), obj
     )
-
-
-def line_search_step(obj: QuadraticObjective, x_prev, op: ThresholdingOperator, rule: StepRule):
-    """One thresholded gradient step; adaptive rule backtracks to the floor."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_next, eta, _ = _step(
-        obj, x_prev, obj.value(x_prev), obj.grad(x_prev), lambda v, eta: op(v), rule
-    )
-    return x_next, eta
 
 
 def iterate_threshold(
@@ -257,17 +317,20 @@ def iterate_prox(
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
 
-    def kkt_met(x):
-        return kkt_residual_l1(obj, x, lam) <= kkt_tol
+    def kkt_met(x, gx):
+        return kkt_residual_l1(obj, x, lam, gx) <= kkt_tol
 
     stop = kkt_met if kkt_tol is not None else None
     return _run(obj, lambda v, eta: prox_l1(v, lam * eta), x0, rule, T, stop)
 
 
-def kkt_residual_l1(obj: QuadraticObjective, x, lam: float) -> float:
-    """Max subgradient-optimality violation of f + lam * l1 at x."""
+def kkt_residual_l1(obj: QuadraticObjective, x, lam: float, gx=None) -> float:
+    """Max subgradient-optimality violation of f + lam * l1 at x.
+
+    ``gx`` is grad f(x) when the caller already has it."""
     x = np.asarray(x, dtype=float)
-    gx = obj.grad(x)
+    if gx is None:
+        gx = obj.grad(x)
     zero = x == 0.0
     res_zero = np.maximum(np.abs(gx[zero]) - lam, 0.0)
     res_active = np.abs(gx[~zero] + lam * np.sign(x[~zero]))
@@ -316,11 +379,12 @@ def restricted_minimum_bruteforce(obj: QuadraticObjective, k: int):
         raise InvalidParameterError("brute-force oracle capped at d <= 14, k <= 4")
     if not 1 <= k <= d:
         raise InvalidParameterError("k out of range")
-    rhs_full = obj.H @ obj.m - obj.g
+    H = obj._dense_hessian("restricted_minimum_bruteforce")
+    rhs_full = H @ obj.m - obj.g
     best_val, best_x = np.inf, None
     for sub in itertools.combinations(range(d), k):
         idx = np.asarray(sub)
-        H_sub = obj.H[np.ix_(idx, idx)]
+        H_sub = H[np.ix_(idx, idx)]
         try:
             xi = np.linalg.solve(H_sub, rhs_full[idx])
         except np.linalg.LinAlgError:

@@ -159,6 +159,22 @@ def check_trap(objective, op, x0, y, steps: int) -> tuple:
     return check_stationary(objective, op, x0, steps)
 
 
+def check_regression_objective(obj, X, y, theta) -> tuple:
+    """``obj`` is the least-squares loss of (X, y) in the solver's form: at
+    theta, ``value_and_grad`` gives (||y - X theta||^2 - ||y||^2) / (2n) and
+    the normal-equation gradient -X'(y - X theta)/n, and ``grad`` gives the
+    same gradient, each within 1e-12 relative."""
+    r = y - X @ theta
+    n = X.shape[0]
+    f_ref = float(r @ r - y @ y) / (2 * n)
+    g_ref = -X.T @ r / n
+    f, g = obj.value_and_grad(theta)
+    f_gap = abs(f - f_ref) / max(1.0, abs(f_ref))
+    scale = max(1.0, float(np.max(np.abs(g_ref))))
+    g_gap = max(float(np.max(np.abs(gx - g_ref))) / scale for gx in (g, obj.grad(theta)))
+    return max(f_gap, g_gap) < 1e-12, f"value gap {f_gap:.2e}, gradient gap {g_gap:.2e}"
+
+
 def check_prox_sweep(instance, lam_grid) -> tuple:
     """At every penalty level the l1 solution is dense or worse than f(y)."""
     records = sweep_prox_path(instance, lam_grid)
@@ -274,14 +290,13 @@ def _prox_kkt(seed: int) -> tuple:
 
 
 def _regression_gradient(seed: int) -> tuple:
-    spec = DesignSpec("iid-gaussian", 40, 15)
-    inst = generate_instance(spec, 3, 0.5, seed)
-    obj = inst.objective()
-    theta = np.random.default_rng(seed + 1).standard_normal(15)
-    grad = obj.grad(theta)
-    expected = -inst.X.T @ (inst.y - inst.X @ theta) / inst.n
-    gap = float(np.max(np.abs(grad - expected)) / max(1.0, np.max(np.abs(expected))))
-    return gap < 1e-12, f"analytic vs normal-equation gradient gap {gap:.2e}"
+    results = []
+    for n, d in ((40, 15), (15, 40)):  # the dense and the factored Gram
+        inst = generate_instance(DesignSpec("iid-gaussian", n, d), 3, 0.5, seed)
+        theta = np.random.default_rng(seed + 1).standard_normal(d)
+        ok, detail = check_regression_objective(inst.objective(), inst.X, inst.y, theta)
+        results.append((ok, f"(n, d) = ({n}, {d}): {detail}"))
+    return _first_failure(results, "dense (40, 15) and factored (15, 40) match the normal equations")
 
 
 def _prox_l1_basics(seed: int) -> tuple:

@@ -21,6 +21,7 @@ from threshlab.regression import (
     theorem6_bound_rhs,
     validate_lemma10,
 )
+from threshlab.solver import Gram
 
 
 class TestGenerateInstance:
@@ -101,6 +102,17 @@ class TestGenerateInstance:
             e[i] = h
             fd = (loss(theta + e) - loss(theta - e)) / (2 * h)
             assert abs(fd - analytic[i]) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_wide_objective_holds_no_d_by_d_array(self):
+        spec = DesignSpec("iid-gaussian", 50, 4000)
+        inst = generate_instance(spec, 5, 1.0, seed=12)
+        obj = inst.objective()
+        assert isinstance(obj.H, Gram) and obj.H.X is inst.X
+        held = [*vars(obj).values(), *vars(obj.H).values()]
+        assert all(v.size < 4000 * 4000 for v in held if isinstance(v, np.ndarray))
+        # a tall design keeps the dense Gram, which is no larger than X
+        tall = generate_instance(DesignSpec("iid-gaussian", 60, 25), 3, 1.0, seed=6)
+        assert tall.objective().H.shape == (25, 25)
 
 
 class TestFitIterative:

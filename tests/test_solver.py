@@ -13,6 +13,7 @@ from threshlab.operators import (
 )
 from threshlab.solver import (
     ContractViolationError,
+    Gram,
     QuadraticObjective,
     SpectrumCertificationError,
     StepRule,
@@ -21,7 +22,6 @@ from threshlab.solver import (
     iterate_prox,
     iterate_threshold,
     kkt_residual_l1,
-    line_search_step,
     restricted_minimum_bruteforce,
 )
 from threshlab.validate import check_theorem1_run
@@ -64,6 +64,51 @@ class TestQuadraticObjective:
         with pytest.raises(InvalidParameterError):
             obj.grad([1.0, 2.0, 3.0])
 
+    def test_value_and_grad_is_value_and_grad_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        obj = QuadraticObjective.random_instance(9, 0.5, 3.0, rng, linear_scale=1.0)
+        for _ in range(5):
+            x = rng.standard_normal(9)
+            f, g = obj.value_and_grad(x)
+            assert f == obj.value(x)
+            assert np.array_equal(g, obj.grad(x))
+
+
+class TestGram:
+    @pytest.mark.parametrize("n, d", [(30, 80), (80, 30), (40, 40)])
+    def test_factored_matches_dense(self, n, d):
+        rng = np.random.default_rng(n + d)
+        X = rng.standard_normal((n, d))
+        m, g = rng.standard_normal(d), rng.standard_normal(d)
+        lo, hi = Gram(X).eig_range()
+        dense = QuadraticObjective(X.T @ X / n, m, g, lo, hi)
+        factored = QuadraticObjective(Gram(X), m, g, lo, hi)
+        for _ in range(3):
+            x = rng.standard_normal(d)
+            f_d, g_d = dense.value_and_grad(x)
+            f_f, g_f = factored.value_and_grad(x)
+            assert abs(f_f - f_d) <= 1e-12 * abs(f_d)
+            assert np.max(np.abs(g_f - g_d)) <= 1e-12 * np.max(np.abs(g_d))
+
+    @pytest.mark.parametrize("n, d", [(30, 80), (80, 30)])
+    def test_eig_range_certifies_the_gram(self, n, d):
+        X = np.random.default_rng(3).standard_normal((n, d))
+        eigs = np.linalg.eigvalsh(X.T @ X / n)
+        lo, hi = Gram(X).eig_range()
+        assert abs(hi - eigs[-1]) <= 1e-12 * eigs[-1]
+        assert lo == 0.0 if d > n else abs(lo - eigs[0]) <= 1e-12 * eigs[-1]
+        with pytest.raises(SpectrumCertificationError):
+            QuadraticObjective(Gram(X), np.zeros(d), np.zeros(d), lo, 0.99 * hi)
+
+    def test_dense_only_methods_refuse_the_factored_form(self):
+        X = np.random.default_rng(4).standard_normal((3, 6))
+        lo, hi = Gram(X).eig_range()
+        obj = QuadraticObjective(Gram(X), np.zeros(6), np.ones(6), lo, hi)
+        with pytest.raises(InvalidParameterError, match="dense Hessian"):
+            obj.minimizer()
+        with pytest.raises(InvalidParameterError, match="dense Hessian"):
+            restricted_minimum_bruteforce(obj, 2)
+
 
 class TestLineSearch:
     def test_tight_smoothness_margin(self):
@@ -72,7 +117,8 @@ class TestLineSearch:
         obj = QuadraticObjective(beta * np.eye(3), np.zeros(3), np.zeros(3), beta, beta)
         op = hard_operator(2)
         x = np.asarray([1.0, -2.0, 0.0])
-        x_next, eta = line_search_step(obj, x, op, StepRule.fixed())
+        trace = iterate_threshold(obj, op, x, StepRule.fixed(), T=1)
+        x_next, eta = trace.xs[0], trace.etas[0]
         assert eta == 1.0 / beta
         step = x_next - x
         margin = (
@@ -88,7 +134,7 @@ class TestLineSearch:
         obj = QuadraticObjective(np.eye(4), np.zeros(4), np.zeros(4), 1.0, 4.0)
         op = hard_operator(2)
         x = np.asarray([1.0, -0.5, 0.0, 0.0])
-        _, eta = line_search_step(obj, x, op, StepRule.adaptive())
+        eta = iterate_threshold(obj, op, x, StepRule.adaptive(), T=1).etas[0]
         assert eta > 1.0 / 4.0
 
     def test_adaptive_never_below_floor(self):
@@ -106,7 +152,7 @@ class TestLineSearch:
         obj = QuadraticObjective(
             np.eye(4), m=x.copy(), g=-(z - x), alpha=1.0, beta=1.0
         )
-        x_next, _ = line_search_step(obj, x, op, StepRule.fixed())
+        x_next = iterate_threshold(obj, op, x, StepRule.fixed(), T=1).xs[0]
         assert np.array_equal(x_next, x)
 
 
@@ -161,6 +207,23 @@ class TestIterateThreshold:
             ta = iterate_threshold(obj, op, np.zeros(15), StepRule.adaptive(), 40)
             fracs.append(np.mean(ta.fs <= tf.fs + 1e-12))
         assert np.mean(fracs) >= 0.8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_raises(self, bad):
+        rng = np.random.default_rng(15)
+        obj = QuadraticObjective.random_instance(6, 1.0, 2.0, rng, linear_scale=0.5)
+        x0 = np.zeros(6)
+        x0[0] = bad
+        with pytest.raises(InvalidParameterError, match="x0 is not finite"):
+            iterate_threshold(obj, hard_operator(2), x0, None, 5)
+
+    def test_non_finite_iterate_raises(self):
+        # a finite start whose first step overflows: f(x_1) is nan, which
+        # numpy reports as a RuntimeWarning before the solver raises
+        obj = QuadraticObjective(np.eye(2), np.zeros(2), np.asarray([-1e300, 0.0]), 1.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match="iterate 1 is not finite"):
+                iterate_threshold(obj, hard_operator(1), np.zeros(2), None, 5)
 
     def test_requires_sparse_start(self):
         obj = QuadraticObjective(np.eye(3), np.zeros(3), np.zeros(3), 1.0, 1.0)
@@ -254,6 +317,19 @@ class TestIterateProx:
         assert len(trace.fs) < 5000
         assert len(trace.xs) == len(trace.etas) == len(trace.fs)
         assert kkt_residual_l1(obj, trace.xs[-1], 0.2) <= 1e-8
+
+    def test_kkt_stop_at_the_first_iterate_meeting_the_tolerance(self):
+        # the stop uses the step's gradient; recomputing it at every iterate
+        # of an uncapped run must pick the same stopping iterate
+        rng = np.random.default_rng(16)
+        obj = QuadraticObjective.random_instance(12, 0.5, 2.0, rng, linear_scale=1.0)
+        lam, tol = 0.3, 1e-8
+        stopped = iterate_prox(obj, lam, np.zeros(12), None, 5000, kkt_tol=tol)
+        full = iterate_prox(obj, lam, np.zeros(12), None, len(stopped.fs) + 20)
+        residuals = [kkt_residual_l1(obj, x, lam) for x in full.xs]
+        first = next(t for t, r in enumerate(residuals) if r <= tol)
+        assert len(stopped.fs) == first + 1
+        assert np.array_equal(stopped.xs, full.xs[: first + 1])
 
 
 class TestStationaryInequality:

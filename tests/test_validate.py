@@ -12,10 +12,12 @@ from threshlab.adversarial import build_prox_trap, build_trap, default_prox_lamb
 from threshlab.concavity import ConcavityQuery, ConcavityReport
 from threshlab.lowrank import LiftedOperator, MatrixObjective
 from threshlab.operators import hard_operator, reciprocal_operator
-from threshlab.solver import QuadraticObjective
+from threshlab.regression import DesignSpec, generate_instance
+from threshlab.solver import Gram, QuadraticObjective
 from threshlab.validate import (
     check_closed_form_table,
     check_prox_sweep,
+    check_regression_objective,
     check_sandwich,
     check_stationary,
     check_theorem1_run,
@@ -96,3 +98,22 @@ def test_prox_sweep_rejects_a_comparator_no_level_beats():
     # solution: shrinking toward zero never makes f larger than f(0)
     bad = dataclasses.replace(inst, y=np.zeros(3))
     assert check_prox_sweep(bad, grid) == (False, "30 lambdas, 5 disjunction failures")
+
+
+@pytest.mark.parametrize("n, d", [(40, 15), (15, 40)])
+def test_regression_objective_rejects_a_wrong_hessian_product(monkeypatch, n, d):
+    inst = generate_instance(DesignSpec("iid-gaussian", n, d), 3, 0.5, 0)
+    theta = np.random.default_rng(1).standard_normal(d)
+    obj = inst.objective()
+    assert check_regression_objective(obj, inst.X, inst.y, theta)[0]
+    # the objective of another response fails against this one's residual
+    other = dataclasses.replace(inst, y=inst.y + 1e-9).objective()
+    assert not check_regression_objective(other, inst.X, inst.y, theta)[0]
+    # a product off by one part in 1e10: through the Gram factor where d > n,
+    # through the dense H otherwise
+    if d > n:
+        exact = Gram.__matmul__
+        monkeypatch.setattr(Gram, "__matmul__", lambda self, v: exact(self, v) * (1 + 1e-10))
+    else:
+        obj.H = obj.H * (1 + 1e-10)
+    assert not check_regression_objective(obj, inst.X, inst.y, theta)[0]
