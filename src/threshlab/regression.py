@@ -18,8 +18,9 @@ certified; iid designs there follow the usual random-design heuristic with
 kappa taken as 1.
 
 The loss's Hessian is X'X/n.  When d > n it stays factored as a ``Gram``
-(applied as X'(X v)/n), since the d x d matrix would be larger than X; when
-d <= n it is formed densely, being no larger than X.
+(applied as X'(X v)/n), since the d x d matrix would be larger than X.  When
+d <= n it is formed densely: it is then no larger than X, and a product with
+it costs d^2 multiply-adds against the Gram's 2nd.
 """
 
 from __future__ import annotations

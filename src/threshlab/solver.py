@@ -130,8 +130,13 @@ class QuadraticObjective:
     def kappa(self) -> float:
         return self.beta / self.alpha
 
+    # the decorator form costs about half of a ``with np.errstate`` block
+    @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, x) -> tuple:
-        """``(f(x), grad f(x))`` from one Hessian product ``H @ (x - m)``."""
+        """``(f(x), grad f(x))`` from one Hessian product ``H @ (x - m)``.
+
+        An overflow gives an inf or nan f without numpy's RuntimeWarning, so
+        the solver's finiteness check reports it as InvalidParameterError."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.m.shape:
             raise InvalidParameterError("dimension mismatch")
@@ -246,7 +251,10 @@ def _step(obj, x, fx, gx, step_map, rule):
             cand = step_map(x - eta * gx, eta)
             step = cand - x
             f_cand, g_cand = obj.value_and_grad(cand)
-            if f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta):
+            # an overflowed candidate is rejected before the condition's sums
+            if math.isfinite(f_cand) and (
+                f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta)
+            ):
                 return cand, eta, f_cand, g_cand
             eta = max(eta * rule.shrink, floor)
     # at the floor the curvature condition holds by restricted smoothness

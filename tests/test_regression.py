@@ -110,7 +110,7 @@ class TestGenerateInstance:
         assert isinstance(obj.H, Gram) and obj.H.X is inst.X
         held = [*vars(obj).values(), *vars(obj.H).values()]
         assert all(v.size < 4000 * 4000 for v in held if isinstance(v, np.ndarray))
-        # a tall design keeps the dense Gram, which is no larger than X
+        # a tall design keeps the dense X'X/n: no larger than X, cheaper to apply
         tall = generate_instance(DesignSpec("iid-gaussian", 60, 25), 3, 1.0, seed=6)
         assert tall.objective().H.shape == (25, 25)
 

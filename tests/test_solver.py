@@ -64,14 +64,18 @@ class TestQuadraticObjective:
         with pytest.raises(InvalidParameterError):
             obj.grad([1.0, 2.0, 3.0])
 
-    def test_value_and_grad_is_value_and_grad_bit_for_bit(self):
+    def test_value_and_grad_keeps_the_separate_expressions_bit_for_bit(self):
+        # the reference: f and the gradient written out, each with its own
+        # Hessian product
         rng = np.random.default_rng(14)
         obj = QuadraticObjective.random_instance(9, 0.5, 3.0, rng, linear_scale=1.0)
+        H, m, g = obj.H, obj.m, obj.g
         for _ in range(5):
             x = rng.standard_normal(9)
-            f, g = obj.value_and_grad(x)
-            assert f == obj.value(x)
-            assert np.array_equal(g, obj.grad(x))
+            dx = x - m
+            f, grad = obj.value_and_grad(x)
+            assert f == float(0.5 * dx @ (H @ dx) + g @ dx)
+            assert np.array_equal(grad, H @ (x - m) + g)
 
 
 class TestGram:
@@ -217,13 +221,13 @@ class TestIterateThreshold:
         with pytest.raises(InvalidParameterError, match="x0 is not finite"):
             iterate_threshold(obj, hard_operator(2), x0, None, 5)
 
-    def test_non_finite_iterate_raises(self):
-        # a finite start whose first step overflows: f(x_1) is nan, which
-        # numpy reports as a RuntimeWarning before the solver raises
+    @pytest.mark.parametrize("rule", [StepRule.fixed(), StepRule.adaptive()])
+    def test_non_finite_iterate_raises(self, rule):
+        # a finite start whose first step overflows: f(x_1) is nan, and the
+        # caller gets the solver's error, not numpy's overflow warning
         obj = QuadraticObjective(np.eye(2), np.zeros(2), np.asarray([-1e300, 0.0]), 1.0, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidParameterError, match="iterate 1 is not finite"):
-                iterate_threshold(obj, hard_operator(1), np.zeros(2), None, 5)
+        with pytest.raises(InvalidParameterError, match="iterate 1 is not finite"):
+            iterate_threshold(obj, hard_operator(1), np.zeros(2), rule, 5)
 
     def test_requires_sparse_start(self):
         obj = QuadraticObjective(np.eye(3), np.zeros(3), np.zeros(3), 1.0, 1.0)
