@@ -50,7 +50,6 @@ from .operators import (
     parse_operator,
     prox_l1,
     reciprocal_operator,
-    select_support,
     soft_operator,
 )
 from .regression import (

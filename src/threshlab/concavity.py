@@ -302,6 +302,12 @@ def _structured_candidates(op: ThresholdingOperator, query: ConcavityQuery):
     return out
 
 
+def _restart_supports(rng, budget: int, d: int, sp: int) -> np.ndarray:
+    """``budget`` uniformly random ordered s'-subsets of range(d), one per row:
+    the first s' entries of a random permutation, all rows in one draw."""
+    return np.argsort(rng.random((budget, d)), axis=-1)[:, :sp]
+
+
 def empirical_concavity(
     op: ThresholdingOperator,
     query: ConcavityQuery,
@@ -322,6 +328,12 @@ def empirical_concavity(
     Every candidate is evaluated through the exact ratio, so the result can
     never exceed the true supremum; for hard / reciprocal / l_q kinds the
     structured families attain the closed form to machine precision.
+
+    The restarts' s'-supports are drawn in one batch, as the first s'
+    entries of a random permutation per row.  Earlier versions drew them
+    one ``rng.choice`` per restart, so for the same seed the random
+    restarts, and any witness one of them wins over the structured
+    families, differ from those versions.
     """
     d, s, sp = query.dim, query.s, query.s_prime
     if op.s != s:
@@ -332,9 +344,7 @@ def empirical_concavity(
 
     if budget > 0:
         n_slots = sp + d
-        supports = np.empty((budget, sp), dtype=int)
-        for i in range(budget):
-            supports[i] = rng.choice(d, size=sp, replace=False)
+        supports = _restart_supports(rng, budget, d, sp)
         y_vals = rng.standard_normal((budget, sp))
         Z = rng.standard_normal((budget, d))
         Y = np.zeros((budget, d))
@@ -342,8 +352,9 @@ def empirical_concavity(
         rows = np.arange(budget)
 
         # Y and X = op(Z) are kept between trials: the operator acts row by
-        # row, so y-slot trials reuse X and z-slot trials reuse Y, and each
-        # trial copies its improved rows back
+        # row, so y-slot trials reuse X and z-slot trials reuse Y; each trial
+        # moves one column of Y or Z in place and gives the rows that do not
+        # improve their old entry back
         X = op(Z)
         best = _ratios(Y, Z, X)
         step0 = 0.5
@@ -352,14 +363,13 @@ def empirical_concavity(
             delta = step0 * step_decay ** (k // n_slots)
             for sign in (1.0, -1.0):
                 if slot < sp:
-                    trial_Y = Y.copy()
-                    trial_Y[rows, supports[:, slot]] += sign * delta
-                    trial = _ratios(trial_Y, Z, X)
+                    cols = supports[:, slot]
+                    y_old = Y[rows, cols]
+                    Y[rows, cols] += sign * delta
+                    trial = _ratios(Y, Z, X)
                     improve = trial > best
-                    Y[improve] = trial_Y[improve]
+                    Y[rows[~improve], cols[~improve]] = y_old[~improve]
                 else:
-                    # the trial moves column j of Z in place; rows that do
-                    # not improve get their old entry back
                     j = slot - sp
                     z_j = Z[:, j].copy()
                     Z[:, j] += sign * delta

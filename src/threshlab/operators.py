@@ -4,7 +4,8 @@ Every operator here shares one support rule: keep the ``s`` largest-magnitude
 entries (ties broken in favor of the lowest index, exact float comparison) and
 let ``tau`` be the largest magnitude left outside the support, i.e. the
 (s+1)-st largest magnitude overall.  Inputs that are already s-sparse have
-``tau == 0`` and pass through unchanged.
+``tau == 0`` and pass through unchanged.  Inputs must be finite: a NaN or
+infinite entry raises InvalidParameterError.
 
 The operator family is parameterized by a shrinkage function ``sigma`` mapping
 the normalized magnitude ``t = |z_i|/tau >= 1`` of a kept entry to the relative
@@ -60,44 +61,34 @@ def support_order(z: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(z), axis=-1, kind="stable")
 
 
-def select_support(z, s: int):
-    """Support of the ``s`` largest magnitudes of a vector, plus the level tau.
-
-    Returns ``(indices, tau)`` where ``indices`` lists the selected coordinates
-    in decreasing-magnitude order (lowest index first among ties) and ``tau``
-    is the largest magnitude outside the selection (0.0 when ``s == len(z)``,
-    which happens exactly when the input is already s-sparse).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise InvalidSparsityError("select_support expects a 1-D vector")
-    d = z.shape[0]
-    _check_sparsity(d, s)
-    order = support_order(z)
-    tau = float(np.abs(z[order[s]])) if s < d else 0.0
-    return order[:s].copy(), tau
-
-
 def _apply_entrywise(z, s: int, entry_map) -> np.ndarray:
     """Shared driver: select support, map kept entries, zero the rest.
 
     ``entry_map(vals, tau)`` receives the kept entries (shape ``(..., s)``) and
     the per-row threshold level (shape ``(..., 1)``, guaranteed > 0 where
-    used); rows with tau == 0 keep their entries untouched.
+    used); rows with tau == 0 keep their entries untouched.  A NaN or
+    infinite entry anywhere in ``z`` raises InvalidParameterError.
+
+    Each row's order is offset by the row's start in the row-major
+    flattening of ``z``, which ``take`` and ``put`` index, so one flat
+    ``take`` gathers and one ``put`` scatters the whole batch.
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     _check_sparsity(d, s)
+    if not np.isfinite(z).all():
+        raise InvalidParameterError("operator input has a NaN or infinite entry")
     if s == d:
         return z.copy()
     order = support_order(z)
+    order += np.arange(0, z.size, d).reshape(z.shape[:-1] + (1,))
     keep = order[..., :s]
-    tau = np.take_along_axis(np.abs(z), order[..., s : s + 1], axis=-1)
-    vals = np.take_along_axis(z, keep, axis=-1)
+    tau = np.abs(z.take(order[..., s : s + 1]))
+    vals = z.take(keep)
     safe_tau = np.where(tau > 0.0, tau, 1.0)
     new_vals = np.where(tau > 0.0, entry_map(vals, safe_tau), vals)
     out = np.zeros_like(z)
-    np.put_along_axis(out, keep, new_vals, axis=-1)
+    out.put(keep, new_vals)
     return out
 
 
@@ -248,8 +239,7 @@ class ShrinkageFunction:
             with np.errstate(over="ignore"):
                 t = np.maximum(np.abs(vals) / tau, 1.0)
             # beyond the cap the shrinkage tau * sigma(t) is below one ulp of
-            # vals; a NaN t (a NaN entry, or inf / inf) passes its entry
-            # through too, since the root needs finite t
+            # vals, so those entries pass through
             in_range = t <= 1e15
             t_safe = np.where(in_range, t, 1.0)
             shrunk = np.sign(vals) * (tau * lq_larger_root(t_safe, q))

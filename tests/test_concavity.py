@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from threshlab import concavity
 from threshlab.concavity import (
     ConcavityQuery,
     DegenerateWitnessError,
@@ -213,6 +214,39 @@ class TestEmpiricalConcavity:
         assert r1.empirical_max == r2.empirical_max
         np.testing.assert_array_equal(r1.witness_y, r2.witness_y)
         np.testing.assert_array_equal(r1.witness_z, r2.witness_z)
+
+    def test_restart_supports_drawn_at_once(self, monkeypatch):
+        # the supports a seeded search draws: s' distinct indices in [0, d)
+        # per row, one row per restart
+        draw = concavity._restart_supports
+        drawn = []
+
+        def recording(rng, budget, d, sp):
+            out = draw(rng, budget, d, sp)
+            drawn.append((out, budget, d, sp))
+            return out
+
+        monkeypatch.setattr(concavity, "_restart_supports", recording)
+        for op, q in [
+            (soft_operator(2), ConcavityQuery(2, 1, d=4)),
+            (lq_operator(4, 0.4), ConcavityQuery(4, 2)),
+            (hard_operator(3), ConcavityQuery(3, 3, d=9)),
+        ]:
+            report = empirical_concavity(op, q, budget=200, seed=5, ascent_steps=10)
+            assert np.count_nonzero(report.witness_y) <= q.s_prime
+        assert len(drawn) == 3
+        for supports, budget, d, sp in drawn:
+            assert supports.shape == (budget, sp)
+            assert supports.min() >= 0 and supports.max() < d
+            assert np.all(np.sort(supports, axis=1)[:, 1:] > np.sort(supports, axis=1)[:, :-1])
+
+    def test_restart_supports_uniform(self):
+        # each position of the ordered subset is uniform over range(d)
+        d, sp, budget = 6, 3, 60000
+        supports = concavity._restart_supports(np.random.default_rng(0), budget, d, sp)
+        for j in range(sp):
+            freq = np.bincount(supports[:, j], minlength=d) / budget
+            np.testing.assert_allclose(freq, 1.0 / d, atol=0.01)
 
     def test_custom_operator_lower_estimate(self):
         table = ShrinkageFunction.from_table([1.0, 2.0, 20.0], [0.4, 0.3, 0.05])

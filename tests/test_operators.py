@@ -20,8 +20,8 @@ from threshlab.operators import (
     parse_operator,
     prox_l1,
     reciprocal_operator,
-    select_support,
     soft_operator,
+    support_order,
 )
 
 ALL_OPERATORS = ["hard", "soft", "rt:0", "rt:0.5", "rt:1", "lq:0.4", "lq:0.666666666667"]
@@ -38,6 +38,18 @@ def oracle_soft_fixed_s(z, s):
         if np.count_nonzero(np.abs(z) > lam) <= s:
             return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
     raise AssertionError("unreachable: lam = max|z| always works")
+
+
+def select_support(z, s):
+    """Test-local reference: the ``s`` kept indices in support order, and tau.
+
+    Built on ``support_order``, the one support rule; tau is the largest
+    magnitude left outside the kept set (0.0 when ``s == len(z)``).
+    """
+    z = np.asarray(z, dtype=float)
+    order = support_order(z)
+    tau = float(np.abs(z[order[s]])) if s < z.shape[0] else 0.0
+    return order[:s], tau
 
 
 class TestSelectSupport:
@@ -58,9 +70,9 @@ class TestSelectSupport:
 
     def test_invalid_sparsity(self):
         with pytest.raises(InvalidSparsityError):
-            select_support(np.array([1.0, 2.0]), 0)
+            hard_operator(0)
         with pytest.raises(InvalidSparsityError):
-            select_support(np.array([1.0, 2.0]), 3)
+            hard_operator(3)(np.array([1.0, 2.0]))
 
     def test_tau_zero_iff_sparse(self):
         rng = np.random.default_rng(0)
@@ -208,14 +220,47 @@ class TestLqThreshold:
             with pytest.raises(RootNotBracketedError):
                 lq_larger_root(np.asarray([2.0, bad]), 0.5)
 
-    def test_non_finite_entries_pass_through(self):
-        # a NaN entry, or inf over an infinite tau, has no finite t: the entry
-        # is kept as it is instead of reaching the root
-        with np.errstate(invalid="ignore"):
-            np.testing.assert_array_equal(
-                lq_operator(2, 0.5)([np.nan, np.nan, 1.0]), [np.nan, 0.0, 1.0]
-            )
-            np.testing.assert_array_equal(lq_operator(1, 0.5)([np.inf, np.inf]), [np.inf, 0.0])
+    def test_non_finite_entries_raise(self):
+        # a NaN entry, or inf over an infinite tau, has no finite t: the
+        # driver rejects the input before the entry map sees it
+        with pytest.raises(InvalidParameterError):
+            lq_operator(2, 0.5)([np.nan, np.nan, 1.0])
+        with pytest.raises(InvalidParameterError):
+            lq_operator(1, 0.5)([np.inf, np.inf])
+
+
+class TestNonFiniteInput:
+    """One policy for every kind: a NaN or infinite entry raises."""
+
+    def test_hard_nan(self):
+        # a NaN sorts last: without the check it would be dropped silently
+        with pytest.raises(InvalidParameterError):
+            hard_operator(1)([np.nan, 1.0, 2.0])
+
+    def test_soft_nan_tau(self):
+        # tau is NaN here: without the check the shrinkage would be skipped
+        with pytest.raises(InvalidParameterError):
+            soft_operator(1)([1.0, np.nan, np.nan])
+
+    def test_reciprocal_inf(self):
+        # without the check the entry map would give NaN
+        with pytest.raises(InvalidParameterError):
+            reciprocal_operator(1, 0.0)([np.inf, 1.0, 2.0])
+
+    def test_lq_inf(self):
+        # without the check the entry map would pass the inf through
+        with pytest.raises(InvalidParameterError):
+            lq_operator(1, 0.5)([np.inf, 1.0, 2.0])
+
+    @pytest.mark.parametrize("name", ALL_OPERATORS)
+    def test_any_row_of_a_batch(self, name):
+        Z = np.ones((3, 4))
+        Z[2, 3] = -np.inf
+        with pytest.raises(InvalidParameterError):
+            parse_operator(name, 2)(Z)
+        # also when s == d, where no support is selected
+        with pytest.raises(InvalidParameterError):
+            parse_operator(name, 4)(Z)
 
 
 def _lq_coefficient(q):
@@ -398,6 +443,69 @@ wide_range_strategy = st.integers(2, 8).flatmap(
         st.integers(1, d),
     )
 )
+
+
+def _along_axis_driver(z, s, entry_map):
+    """Reference driver: the stable-argsort support rule with per-axis
+    gather and scatter, for the operators' flat-index driver to match."""
+    z = np.asarray(z, dtype=float)
+    if s == z.shape[-1]:
+        return z.copy()
+    order = np.argsort(-np.abs(z), axis=-1, kind="stable")
+    keep = order[..., :s]
+    tau = np.take_along_axis(np.abs(z), order[..., s : s + 1], axis=-1)
+    vals = np.take_along_axis(z, keep, axis=-1)
+    safe_tau = np.where(tau > 0.0, tau, 1.0)
+    new_vals = np.where(tau > 0.0, entry_map(vals, safe_tau), vals)
+    out = np.zeros_like(z)
+    np.put_along_axis(out, keep, new_vals, axis=-1)
+    return out
+
+
+@st.composite
+def driver_inputs(draw):
+    """Shapes (d,), (k, d) and (k, n, d) in C, Fortran or reversed-view
+    layout; small integers give many ties and rows with tau == 0."""
+    d = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from([(), (3,), (2, 3)])) + (d,)
+    if draw(st.booleans()):
+        entries = st.integers(-2, 2).map(float)
+    else:
+        entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
+    size = int(np.prod(shape))
+    z = np.array(draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+    layout = draw(st.sampled_from(["C", "F", "reversed"]))
+    if layout == "F":
+        z = np.asfortranarray(z)
+    elif layout == "reversed":
+        z = z[::-1, ..., ::-1] if z.ndim > 1 else z[::-1]
+    return z, draw(st.integers(1, d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(driver_inputs(), st.sampled_from(ALL_OPERATORS + ["table"]))
+def test_driver_matches_along_axis_reference(zs, name):
+    z, s = zs
+    op = _operator_by_name(name, s)
+    out = op(z)
+    ref = _along_axis_driver(z, s, op.shrink.entry_map)
+    assert out.shape == z.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(out).view(np.int64), np.ascontiguousarray(ref).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("name", ALL_OPERATORS + ["table"])
+def test_driver_edge_rows_bitwise(name):
+    # s == d returns the input; a row that is already s-sparse (tau == 0)
+    # keeps its entries while the other rows of the batch are thresholded
+    Z = np.array([[0.0, 3.0, 0.0, -1.0], [2.0, -2.0, 1.0, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    for s in (2, 4):
+        op = _operator_by_name(name, s)
+        out = op(Z)
+        ref = _along_axis_driver(Z, s, op.shrink.entry_map)
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+    np.testing.assert_array_equal(_operator_by_name(name, 2)(Z)[[0, 2]], Z[[0, 2]])
 
 
 @settings(max_examples=300, deadline=None)
