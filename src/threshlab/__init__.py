@@ -34,7 +34,6 @@ from .lowrank import (
     embed_diag,
     empirical_matrix_concavity,
     iterate_threshold_matrix,
-    lift_apply,
     numerical_rank,
 )
 from .operators import (

@@ -32,7 +32,6 @@ from .lowrank import (
     MatrixObjective,
     empirical_matrix_concavity,
     iterate_threshold_matrix,
-    lift_apply,
 )
 from .operators import hard_operator, parse_operator
 from .solver import (
@@ -223,7 +222,7 @@ def cmd_lowrank_demo(args) -> int:
     config = _config(args, "n", "m", "rank", "rank_prime", "operator", "kappa", "iters", "seed")
     # one exact step recovers an exact-rank target
     A = rng.standard_normal((args.n, args.rank)) @ rng.standard_normal((args.rank, args.m))
-    one_step = lift_apply(base, A)
+    one_step = lifted(A)
     eckart_young_gap = float(np.linalg.norm(one_step - A))
     query = MatrixConcavityQuery(args.n, args.m, args.rank, args.rank_prime)
     report = empirical_matrix_concavity(lifted, query, budget=100, seed=args.seed)

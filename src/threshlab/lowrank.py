@@ -53,11 +53,6 @@ class LiftedOperator:
         return self.base.s
 
 
-def lift_apply(base: ThresholdingOperator, Z) -> np.ndarray:
-    """Apply the lifted operator of ``base`` to a matrix."""
-    return LiftedOperator(base)(Z)
-
-
 def numerical_rank(X: np.ndarray) -> int:
     sv = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -227,7 +222,7 @@ def iterate_threshold_matrix(
         raise InvalidParameterError("X0 must have rank <= s")
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    return _run(obj, lambda V, eta: lifted(V), X0, rule, T)
+    return _run(obj, lambda V, etas: lifted(V), X0, rule, T)
 
 
 def build_matrix_trap(

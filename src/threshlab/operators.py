@@ -66,14 +66,16 @@ def _apply_entrywise(z, s: int, entry_map) -> np.ndarray:
 
     ``entry_map(vals, tau)`` receives the kept entries (shape ``(..., s)``) and
     the per-row threshold level (shape ``(..., 1)``, guaranteed > 0 where
-    used); rows with tau == 0 keep their entries untouched.  A NaN or
-    infinite entry anywhere in ``z`` raises InvalidParameterError.
+    used); rows with tau == 0 keep their entries untouched.  A 0-d ``z``, or
+    a NaN or infinite entry anywhere in ``z``, raises InvalidParameterError.
 
     Each row's order is offset by the row's start in the row-major
     flattening of ``z``, which ``take`` and ``put`` index, so one flat
     ``take`` gathers and one ``put`` scatters the whole batch.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        raise InvalidParameterError("operator input must have at least one axis")
     d = z.shape[-1]
     _check_sparsity(d, s)
     if not np.isfinite(z).all():
@@ -133,9 +135,13 @@ def lq_larger_root(t, q: float) -> np.ndarray:
     return x
 
 
-def prox_l1(z, t: float) -> np.ndarray:
-    """Soft shrinkage at a fixed level ``t >= 0`` (prox of t * l1-norm)."""
-    if t < 0:
+def prox_l1(z, t) -> np.ndarray:
+    """Soft shrinkage at a fixed level ``t >= 0`` (prox of t * l1-norm).
+
+    ``t`` is a scalar or an array that broadcasts against ``z``, such as a
+    ``(k, 1)`` column giving each row of a ``(k, d)`` stack its own level."""
+    # the min method costs a fifth of np.any's dispatch on a small level
+    if np.asarray(t).min() < 0:
         raise InvalidParameterError(f"prox level t={t} must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)

@@ -17,7 +17,10 @@ halving until the curvature condition
     f(x~) <= f(x) + <x~ - x, grad f(x)> + ||x~ - x||^2 / (2 eta)
 
 holds, with floor 1/beta where the condition is guaranteed.  The accepted
-step therefore never falls below 1/beta.
+step therefore never falls below 1/beta.  A run builds this ladder of step
+sizes once (the fixed rule's ladder is the floor alone); each step maps every
+rung's gradient point with one batched operator call and scores the rows in
+order until one passes, so a ladder of k rungs holds k copies of the iterate.
 """
 
 from __future__ import annotations
@@ -212,8 +215,11 @@ class StepRule:
 class IterateTrace:
     """Per-iteration record of a solver run (t = 1..T, plus the start point).
 
-    ``running_min`` is min_{u<=t} f(x_u) over recorded iterates, nonincreasing
-    by construction; ``best_x`` is the iterate attaining the final minimum.
+    ``backtracks[t]`` is the index of the accepted step size in its step's
+    ladder: the number of larger step sizes rejected before it (always 0
+    under the fixed rule).  ``running_min`` is min_{u<=t} f(x_u) over
+    recorded iterates, nonincreasing by construction; ``best_x`` is the
+    iterate attaining the final minimum.
     """
 
     x0: np.ndarray
@@ -221,6 +227,7 @@ class IterateTrace:
     xs: np.ndarray
     etas: np.ndarray
     fs: np.ndarray
+    backtracks: np.ndarray
     objective: object = field(repr=False)
 
     @property
@@ -236,30 +243,49 @@ class IterateTrace:
         return self.xs[self.best_index]
 
 
-def _step(obj, x, fx, gx, step_map, rule):
-    """One gradient step from x, where fx = f(x) and gx = grad f(x).
-
-    ``step_map(v, eta)`` maps the gradient point ``v = x - eta * gx`` to the
-    next iterate.  The adaptive rule backtracks until the curvature condition
-    holds, never below the 1/beta floor.  Each candidate costs one
-    ``value_and_grad``.  Returns ``(x_next, eta, f(x_next), grad f(x_next))``.
-    """
+def _ladder(obj, rule) -> np.ndarray:
+    """The step sizes one step tries, largest first: every rung of the
+    adaptive rule above the 1/beta floor (``eta_init``, shrunk by
+    ``rule.shrink`` each rung), then the floor.  The fixed rule's ladder is
+    the floor alone."""
     floor = 1.0 / obj.beta
+    etas = []
     if rule.kind == "adaptive":
         eta = rule.eta_init if rule.eta_init is not None else 16.0 / obj.beta
         while eta > floor:
-            cand = step_map(x - eta * gx, eta)
-            step = cand - x
-            f_cand, g_cand = obj.value_and_grad(cand)
-            # an overflowed candidate is rejected before the condition's sums
-            if math.isfinite(f_cand) and (
-                f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta)
-            ):
-                return cand, eta, f_cand, g_cand
+            etas.append(eta)
             eta = max(eta * rule.shrink, floor)
+    etas.append(floor)
+    return np.asarray(etas)
+
+
+def _step(obj, x, fx, gx, step_map, etas):
+    """One gradient step from x, where fx = f(x) and gx = grad f(x).
+
+    ``etas`` is the ladder of ``_ladder``, shaped ``(k, 1, ...)`` to
+    broadcast against the stack of gradient points ``x - etas * gx``, shape
+    ``(k,) + x.shape``.  ``step_map(V, etas)`` maps that stack to the k
+    candidates in one call, so a step costs one operator call and holds
+    k x d floats (5 x d for the default ladder).  The rows are scored in
+    order, one ``value_and_grad`` each, and the first that meets the
+    curvature condition is taken; the floor row, last, needs no test.
+    Returns ``(x_next, eta, f(x_next), grad f(x_next), i)`` with ``i`` the
+    accepted row's index in the ladder.
+    """
+    cands = step_map(x - etas * gx, etas)
+    # the accepted row is copied, so the trace does not keep the ladder alive
+    for i in range(len(etas) - 1):
+        eta = etas.flat[i]
+        step = cands[i] - x
+        f_cand, g_cand = obj.value_and_grad(cands[i])
+        # an overflowed candidate is rejected before the condition's sums
+        if math.isfinite(f_cand) and (
+            f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta)
+        ):
+            return cands[i].copy(), eta, f_cand, g_cand, i
     # at the floor the curvature condition holds by restricted smoothness
-    x_next = step_map(x - floor * gx, floor)
-    return (x_next, floor, *obj.value_and_grad(x_next))
+    x_next = cands[-1].copy()
+    return (x_next, etas.flat[-1], *obj.value_and_grad(x_next), len(etas) - 1)
 
 
 def _finite(fx: float, where: str) -> float:
@@ -277,18 +303,27 @@ def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
     if not np.all(np.isfinite(x0)):
         raise InvalidParameterError("x0 is not finite")
     # lists, not (T, ...) arrays: T is only a cap when ``stop`` ends runs early
-    xs, etas, fs = [], [], []
+    xs, etas, fs, backtracks = [], [], [], []
+    # the ladder is the same at every step; shaped to broadcast over a stack
+    ladder = _ladder(obj, rule).reshape((-1,) + (1,) * x.ndim)
     fx, gx = obj.value_and_grad(x)
     f0 = _finite(fx, "x0")
     for t in range(1, T + 1):
-        x, eta, fx, gx = _step(obj, x, fx, gx, step_map, rule)
+        x, eta, fx, gx, rung = _step(obj, x, fx, gx, step_map, ladder)
         xs.append(x)
         etas.append(eta)
+        backtracks.append(rung)
         fs.append(_finite(fx, f"iterate {t}"))
         if stop is not None and stop(x, gx):
             break
     return IterateTrace(
-        x0, f0, np.asarray(xs), np.asarray(etas, dtype=float), np.asarray(fs), obj
+        x0,
+        f0,
+        np.asarray(xs),
+        np.asarray(etas, dtype=float),
+        np.asarray(fs),
+        np.asarray(backtracks, dtype=int),
+        obj,
     )
 
 
@@ -304,7 +339,7 @@ def iterate_threshold(
         raise InvalidParameterError("x0 must be s-sparse")
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    return _run(obj, lambda v, eta: op(v), x0, rule, T)
+    return _run(obj, lambda V, etas: op(V), x0, rule, T)
 
 
 def iterate_prox(
@@ -329,7 +364,7 @@ def iterate_prox(
         return kkt_residual_l1(obj, x, lam, gx) <= kkt_tol
 
     stop = kkt_met if kkt_tol is not None else None
-    return _run(obj, lambda v, eta: prox_l1(v, lam * eta), x0, rule, T, stop)
+    return _run(obj, lambda V, etas: prox_l1(V, lam * etas), x0, rule, T, stop)
 
 
 def kkt_residual_l1(obj: QuadraticObjective, x, lam: float, gx=None) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import concavity as conc
 from .adversarial import build_prox_trap, build_trap, default_prox_lambda_grid, sweep_prox_path
 from .concavity import ConcavityQuery, empirical_concavity, lower_bound_witness
-from .lowrank import LiftedOperator, embed_diag, iterate_threshold_matrix, lift_apply
+from .lowrank import LiftedOperator, embed_diag, iterate_threshold_matrix
 from .operators import (
     ShrinkageFunction,
     custom_operator,
@@ -260,17 +260,17 @@ def _traps(seed: int) -> tuple:
 def _lift(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     base = reciprocal_operator(2, 0.0)
+    lifted = LiftedOperator(base)
     z = np.sort(rng.uniform(0.5, 3.0, size=5))[::-1]
-    direct = lift_apply(base, np.diag(z))
+    direct = lifted(np.diag(z))
     if np.linalg.norm(direct - np.diag(base(z))) > 1e-10:
         return False, "diagonal lift mismatch"
     Q1, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     Q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     Z = Q1 @ np.diag(z) @ Q2.T
-    gap = np.linalg.norm(lift_apply(base, Z) - Q1 @ np.diag(base(z)) @ Q2.T)
+    gap = np.linalg.norm(lifted(Z) - Q1 @ np.diag(base(z)) @ Q2.T)
     if gap > 1e-9:
         return False, f"orthogonal invariance gap {gap}"
-    lifted = LiftedOperator(base)
     y = np.asarray([0.4, 0.0, 0.2, 0.0, 0.0])
     zv = np.asarray([2.0, 1.5, 1.0, 0.8, 0.6])
     rv = conc.concavity_ratio(y, zv, base)

@@ -12,7 +12,6 @@ from threshlab.lowrank import (
     embed_diag,
     empirical_matrix_concavity,
     iterate_threshold_matrix,
-    lift_apply,
     numerical_rank,
 )
 from threshlab.operators import (
@@ -33,7 +32,7 @@ def _random_orthogonal(rng, n):
 class TestLiftApply:
     def test_diagonal_case(self):
         Z = np.diag([3.0, 1.0, 2.0])
-        out = lift_apply(hard_operator(2), Z)
+        out = LiftedOperator(hard_operator(2))(Z)
         np.testing.assert_allclose(out, np.diag([3.0, 0.0, 2.0]), atol=1e-12)
 
     def test_conjugated_reciprocal(self):
@@ -41,14 +40,14 @@ class TestLiftApply:
         Q1 = _random_orthogonal(rng, 4)
         Q2 = _random_orthogonal(rng, 4)
         Z = Q1[:, :2] @ np.diag([2.0, 1.0]) @ Q2[:, :2].T
-        out = lift_apply(reciprocal_operator(1, 0.0), Z)
+        out = LiftedOperator(reciprocal_operator(1, 0.0))(Z)
         expected = Q1[:, :1] @ np.asarray([[1.0 + np.sqrt(3.0) / 2.0]]) @ Q2[:, :1].T
         assert np.linalg.norm(out - expected) <= 1e-10
 
     def test_idempotent_on_low_rank(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 6))
-        out = lift_apply(hard_operator(2), A)
+        out = LiftedOperator(hard_operator(2))(A)
         assert np.linalg.norm(out - A) <= 1e-10
 
     def test_orthogonal_invariance(self):
@@ -58,15 +57,15 @@ class TestLiftApply:
         base = reciprocal_operator(2, 0.5)
         Q1 = _random_orthogonal(rng, 5)
         Q2 = _random_orthogonal(rng, 5)
-        lhs = lift_apply(base, Q1 @ Z @ Q2.T)
-        rhs = Q1 @ lift_apply(base, Z) @ Q2.T
+        lhs = LiftedOperator(base)(Q1 @ Z @ Q2.T)
+        rhs = Q1 @ LiftedOperator(base)(Z) @ Q2.T
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
     def test_rank_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             Z = rng.standard_normal((6, 5))
-            out = lift_apply(lq_operator(2, 0.5), Z)
+            out = LiftedOperator(lq_operator(2, 0.5))(Z)
             assert numerical_rank(out) <= 2
 
     def test_lift_consistency_with_vector(self):
@@ -75,7 +74,7 @@ class TestLiftApply:
         z = np.sort(rng.uniform(0.5, 4.0, 6))[::-1]
         base = reciprocal_operator(3, 0.0)
         np.testing.assert_allclose(
-            lift_apply(base, np.diag(z)), np.diag(base(z)), atol=1e-10
+            LiftedOperator(base)(np.diag(z)), np.diag(base(z)), atol=1e-10
         )
 
     def test_stack_matches_single(self):

@@ -262,6 +262,11 @@ class TestNonFiniteInput:
         with pytest.raises(InvalidParameterError):
             parse_operator(name, 4)(Z)
 
+    def test_zero_dimensional_input(self):
+        # a scalar has no last axis to threshold along
+        with pytest.raises(InvalidParameterError):
+            hard_operator(1)(5.0)
+
 
 def _lq_coefficient(q):
     return q * (2.0 - 2.0 * q) ** (1.0 - q) / (2.0 - q) ** (2.0 - q)
@@ -364,6 +369,16 @@ class TestProxL1:
     def test_negative_level_rejected(self):
         with pytest.raises(InvalidParameterError):
             prox_l1([1.0], -0.1)
+
+    def test_array_level_is_per_row(self):
+        Z = np.array([[3.0, -1.0, 0.5], [3.0, -1.0, 0.5]])
+        out = prox_l1(Z, np.array([[1.0], [0.25]]))
+        assert np.array_equal(out[0], prox_l1(Z[0], 1.0))
+        assert np.array_equal(out[1], prox_l1(Z[1], 0.25))
+
+    def test_negative_entry_in_array_level_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            prox_l1(np.ones((2, 3)), np.array([[0.5], [-0.1]]))
 
 
 # ---------------------------------------------------------------------------

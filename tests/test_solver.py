@@ -1,9 +1,13 @@
 """Solver tests: gradients, line search, guarantee checks, prox, oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
+from threshlab import solver
 from threshlab.concavity import gamma_hard, gamma_reciprocal
+from threshlab.lowrank import LiftedOperator, MatrixObjective, iterate_threshold_matrix
 from threshlab.operators import (
     InvalidParameterError,
     hard_operator,
@@ -25,6 +29,97 @@ from threshlab.solver import (
     restricted_minimum_bruteforce,
 )
 from threshlab.validate import check_theorem1_run
+
+
+def _reference_ladder(beta, rule):
+    """The step sizes of a backtracking loop that shrinks eta_init to the floor."""
+    floor = 1.0 / beta
+    etas = []
+    if rule.kind == "adaptive":
+        eta = rule.eta_init if rule.eta_init is not None else 16.0 / beta
+        while eta > floor:
+            etas.append(eta)
+            eta = max(eta * rule.shrink, floor)
+    return etas + [floor]
+
+
+def _sequential_step(obj, x, fx, gx, step_map, etas):
+    """Reference step: one operator call per rung, largest step first, each
+    candidate scored before the next is mapped.  Same contract as
+    ``solver._step``, with ``step_map`` given a one-row stack."""
+    rungs = etas.ravel()
+    for i, eta in enumerate(rungs[:-1]):
+        cand = step_map((x - eta * gx)[None], etas[i : i + 1])[0]
+        step = cand - x
+        f_cand, g_cand = obj.value_and_grad(cand)
+        if math.isfinite(f_cand) and (
+            f_cand <= fx + np.vdot(gx, step) + np.vdot(step, step) / (2.0 * eta)
+        ):
+            return cand, eta, f_cand, g_cand, i
+    floor = rungs[-1]
+    x_next = step_map((x - floor * gx)[None], etas[-1:])[0]
+    return (x_next, floor, *obj.value_and_grad(x_next), len(rungs) - 1)
+
+
+class _CountingOperator:
+    """Delegates to ``op`` and counts its calls."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    @property
+    def s(self):
+        return self.op.s
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.op(z)
+
+
+def _ladder_rules(beta):
+    return {
+        "fixed": StepRule.fixed(),
+        "default": StepRule.adaptive(),
+        "non-power-of-two": StepRule.adaptive(3.3 / beta, 0.7),
+        "floor-only": StepRule.adaptive(1.0 / beta),
+    }
+
+
+def _ladder_runs(rule):
+    """(name, thunk) for the vector, prox and matrix solvers under ``rule``."""
+    runs = []
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        obj = QuadraticObjective.random_instance(12, 1.0, 4.0, rng, linear_scale=0.5)
+        for spec in ("rt:0", "hard", "lq:0.5", "soft"):
+            runs.append(
+                (
+                    f"vector {spec} seed {seed}",
+                    lambda obj=obj, spec=spec: iterate_threshold(
+                        obj, parse_operator(spec, 4), np.zeros(12), rule(obj.beta), 40
+                    ),
+                )
+            )
+        runs.append(
+            (
+                f"prox seed {seed}",
+                lambda obj=obj: iterate_prox(obj, 0.3, np.zeros(12), rule(obj.beta), 40),
+            )
+        )
+        mobj = MatrixObjective.random_certified(5, 4, 1.0, 3.0, rng)
+        runs.append(
+            (
+                f"matrix seed {seed}",
+                lambda mobj=mobj: iterate_threshold_matrix(
+                    mobj,
+                    LiftedOperator(reciprocal_operator(2, 0.0)),
+                    np.zeros((5, 4)),
+                    rule(mobj.beta),
+                    30,
+                ),
+            )
+        )
+    return runs
 
 
 class TestQuadraticObjective:
@@ -262,6 +357,68 @@ class TestIterateThreshold:
             rhs = obj.value(prev) + float(obj.grad(prev) @ dx) + obj.beta / 2 * float(dx @ dx)
             assert trace.fs[t] <= rhs + 1e-10 * max(1.0, abs(rhs))
             prev = trace.xs[t]
+
+
+class TestStepLadder:
+    """``_step`` maps its whole ladder of step sizes in one operator call."""
+
+    @pytest.mark.parametrize("which", ["fixed", "default", "non-power-of-two", "floor-only"])
+    def test_matches_the_sequential_reference_bit_for_bit(self, which, monkeypatch):
+        def rule(beta):
+            return _ladder_rules(beta)[which]
+
+        batched = [(name, run()) for name, run in _ladder_runs(rule)]
+        monkeypatch.setattr(solver, "_step", _sequential_step)
+        for (name, got), (_, run) in zip(batched, _ladder_runs(rule)):
+            want = run()
+            assert np.array_equal(got.xs, want.xs), name
+            assert np.array_equal(got.fs, want.fs), name
+            assert np.array_equal(got.etas, want.etas), name
+            assert np.array_equal(got.backtracks, want.backtracks), name
+
+    @pytest.mark.parametrize("which", ["fixed", "default", "non-power-of-two", "floor-only"])
+    def test_ladder_is_the_backtracking_sequence(self, which):
+        obj = QuadraticObjective(np.diag([1.0, 3.0]), np.zeros(2), np.zeros(2), 1.0, 3.0)
+        rule = _ladder_rules(obj.beta)[which]
+        want = _reference_ladder(obj.beta, rule)
+        assert solver._ladder(obj, rule).tolist() == want
+        assert len(want) == {"fixed": 1, "default": 5, "non-power-of-two": 5, "floor-only": 1}[which]
+
+    def test_backtracks_index_the_accepted_rung(self):
+        rng = np.random.default_rng(41)
+        obj = QuadraticObjective.random_instance(12, 1.0, 4.0, rng, linear_scale=0.5)
+        op = reciprocal_operator(4, 0.0)
+        adaptive = iterate_threshold(obj, op, np.zeros(12), StepRule.adaptive(), 40)
+        # the default ladder is 16/beta, 8/beta, ..., 1/beta
+        assert np.array_equal(adaptive.etas, 16.0 / obj.beta / 2.0**adaptive.backtracks)
+        assert adaptive.backtracks.dtype.kind == "i"
+        fixed = iterate_threshold(obj, op, np.zeros(12), StepRule.fixed(), 40)
+        assert np.array_equal(fixed.backtracks, np.zeros(40, dtype=int))
+
+    @pytest.mark.parametrize("rule", [StepRule.fixed(), StepRule.adaptive()])
+    def test_one_operator_call_per_step(self, rule, monkeypatch):
+        rng = np.random.default_rng(42)
+        obj = QuadraticObjective.random_instance(12, 1.0, 4.0, rng, linear_scale=0.5)
+        op = _CountingOperator(reciprocal_operator(4, 0.0))
+        trace = iterate_threshold(obj, op, np.zeros(12), rule, 30)
+        assert op.calls == len(trace.fs) == 30
+        if rule.kind == "adaptive":
+            assert trace.backtracks.sum() > 0  # some steps rejected a rung
+
+        prox_calls = []
+
+        def counting_prox(z, t):
+            prox_calls.append(np.shape(z))
+            return prox_l1(z, t)
+
+        monkeypatch.setattr(solver, "prox_l1", counting_prox)
+        trace = iterate_prox(obj, 0.3, np.zeros(12), rule, 30)
+        assert len(prox_calls) == len(trace.fs) == 30
+
+        mobj = MatrixObjective.random_certified(5, 4, 1.0, 3.0, rng)
+        lifted = _CountingOperator(LiftedOperator(reciprocal_operator(2, 0.0)))
+        trace = iterate_threshold_matrix(mobj, lifted, np.zeros((5, 4)), rule, 20)
+        assert lifted.calls == len(trace.fs) == 20
 
 
 class TestCheckBound:
