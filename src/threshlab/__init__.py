@@ -43,7 +43,6 @@ from .operators import (
     ShrinkOutOfRangeError,
     ShrinkageFunction,
     ThresholdingOperator,
-    custom_operator,
     hard_operator,
     lq_operator,
     parse_operator,

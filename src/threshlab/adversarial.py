@@ -39,8 +39,6 @@ class TrapInstance:
     y: np.ndarray
     z: np.ndarray
     gamma_hat: float
-    alpha: float
-    beta: float
     exact_stationary: bool
 
 
@@ -58,12 +56,11 @@ def build_trap(
     beta: float,
     budget: int = 400,
     seed: int = 0,
-    margin: float = 1e-6,
 ) -> TrapInstance:
     """Stationary-trap instance for (op, query) at condition number beta/alpha.
 
     The concavity search must produce a witness with ratio above
-    1/(2 kappa) + margin, else ConcavityTooSmallError.  The built objective
+    1/(2 kappa) + 1e-6, else ConcavityTooSmallError.  The built objective
     has f(x0) = 0 exactly and f(y) < 0 strictly; one thresholded gradient
     step at eta = 1/beta maps x0 back to itself.  Stationarity is bit-exact
     whenever the float chain x0 + (1/beta)(beta (z - x0)) reproduces z, which
@@ -73,11 +70,11 @@ def build_trap(
     if not 0 < alpha <= beta:
         raise InvalidParameterError("need 0 < alpha <= beta")
     kappa = beta / alpha
-    threshold = 1.0 / (2.0 * kappa) + margin
+    threshold = 1.0 / (2.0 * kappa) + 1e-6
     report = empirical_concavity(op, query, budget=budget, seed=seed)
     if report.empirical_max <= threshold:
         raise ConcavityTooSmallError(
-            f"best ratio {report.empirical_max:.6g} <= 1/(2 kappa) + margin"
+            f"best ratio {report.empirical_max:.6g} <= 1/(2 kappa) + 1e-6"
             f" = {threshold:.6g}; no trap at kappa={kappa:g}"
         )
     y, z = report.witness_y, report.witness_z
@@ -102,7 +99,7 @@ def build_trap(
         if gamma_hat <= threshold:
             break
         obj = _trap_objective(x, y, z, alpha, beta)
-    return TrapInstance(obj, x.copy(), y, z, gamma_hat, alpha, beta, exact)
+    return TrapInstance(obj, x.copy(), y, z, gamma_hat, exact)
 
 
 @dataclass

@@ -71,10 +71,6 @@ def _parse_rho_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _step_rule(name: str) -> StepRule:
-    return StepRule.adaptive() if name == "adaptive" else StepRule.fixed()
-
-
 def _config(args, *keys, **extra) -> dict:
     """The header of a command's CSV: its name, the arguments ``keys`` and ``extra``."""
     return {"command": args.command, **{k: getattr(args, k) for k in keys}, **extra}
@@ -98,7 +94,6 @@ def cmd_converge(args) -> int:
         args.dim, alpha, beta, rng, linear_scale=0.5
     )
     op = parse_operator(args.operator, args.sparsity)
-    rule = _step_rule(args.step)
     config = _config(args, "dim", "sparsity", "s_prime", "kappa", "operator", "step", "iters", "seed")
     rho = args.s_prime / args.sparsity
     gamma = conc.closed_form_gamma(op, rho)
@@ -112,7 +107,7 @@ def cmd_converge(args) -> int:
         columns.append("theorem1_rhs")
     rows = []
     if args.iters > 0:
-        trace = iterate_threshold(obj, op, np.zeros(args.dim), rule, args.iters)
+        trace = iterate_threshold(obj, op, np.zeros(args.dim), StepRule(args.step), args.iters)
         t = np.arange(1, args.iters + 1)
         series = [t, trace.etas, trace.fs, trace.running_min]
         if with_bound:

@@ -170,12 +170,13 @@ def kappa_max(gamma: float) -> float:
 def closed_form_gamma(op: ThresholdingOperator, rho: float) -> Optional[float]:
     """Closed-form relative concavity for built-in kinds, if one exists.
 
-    Returns +inf for shrinkage kinds at rho = 1 (the supremum diverges:
-    y can approach Psi(z) inside its own support) and None for soft and
-    custom kinds.
+    Reciprocal thresholding at c = 1 is hard thresholding.  Returns +inf
+    for the other shrinkage kinds at rho = 1 (the supremum diverges: y can
+    approach Psi(z) inside its own support) and None for soft and custom
+    kinds.
     """
     kind = op.shrink.kind
-    if kind == "hard":
+    if kind == "hard" or (kind == "reciprocal" and op.shrink.param == 1.0):
         return gamma_hard(rho)
     if kind in ("reciprocal", "lq"):
         if rho >= 1.0:
@@ -314,16 +315,16 @@ def empirical_concavity(
     budget: int = 1000,
     seed: int = 0,
     ascent_steps: int = 500,
-    step_decay: float = 0.9,
 ) -> ConcavityReport:
     """Numerically maximize the concavity ratio over (y, z) pairs.
 
     Runs (a) the structured witness families (exact maximizers for the
     built-in kinds) and (b) ``budget`` random restarts with batched
     coordinatewise ascent over the entries of y (on its fixed s'-support)
-    and z, with step decay per full sweep.  Deterministic given the seed;
-    restarts are independent and merged by maximum with first-index
-    tie-break, so any parallel schedule would give the same answer.
+    and z, with a step of 0.5 shrinking by 0.9 per full sweep.
+    Deterministic given the seed; restarts are independent and merged by
+    maximum with first-index tie-break, so any parallel schedule would give
+    the same answer.
 
     Every candidate is evaluated through the exact ratio, so the result can
     never exceed the true supremum; for hard / reciprocal / l_q kinds the
@@ -357,10 +358,9 @@ def empirical_concavity(
         # improve their old entry back
         X = op(Z)
         best = _ratios(Y, Z, X)
-        step0 = 0.5
         for k in range(ascent_steps):
             slot = k % n_slots
-            delta = step0 * step_decay ** (k // n_slots)
+            delta = 0.5 * 0.9 ** (k // n_slots)
             for sign in (1.0, -1.0):
                 if slot < sp:
                     cols = supports[:, slot]

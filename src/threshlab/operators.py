@@ -140,9 +140,10 @@ def prox_l1(z, t) -> np.ndarray:
 
     ``t`` is a scalar or an array that broadcasts against ``z``, such as a
     ``(k, 1)`` column giving each row of a ``(k, d)`` stack its own level."""
-    # the min method costs a fifth of np.any's dispatch on a small level
-    if np.asarray(t).min() < 0:
-        raise InvalidParameterError(f"prox level t={t} must be nonnegative")
+    # the min method costs a fifth of np.any's dispatch on a small level;
+    # written as a positive test so that a NaN level fails it
+    if not np.asarray(t).min() >= 0:
+        raise InvalidParameterError(f"prox level t={t} must be a nonnegative number")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
@@ -343,10 +344,6 @@ def reciprocal_operator(s: int, c: float = 0.0) -> ThresholdingOperator:
 
 def lq_operator(s: int, q: float) -> ThresholdingOperator:
     return ThresholdingOperator(s, ShrinkageFunction.lq(q))
-
-
-def custom_operator(s: int, shrink: ShrinkageFunction) -> ThresholdingOperator:
-    return ThresholdingOperator(s, shrink)
 
 
 def parse_operator(spec: str, s: int) -> ThresholdingOperator:

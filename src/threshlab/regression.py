@@ -37,7 +37,7 @@ from .solver import Gram, QuadraticObjective, StepRule, iterate_prox, iterate_th
 
 
 class InfeasibleSpecError(ValueError):
-    """Design specification cannot be realized (dimensions, flags)."""
+    """Design specification cannot be realized (dimensions, kappa)."""
 
 
 class EnumerationTooLargeError(ValueError):
@@ -51,19 +51,17 @@ DESIGN_KINDS = ("iid-gaussian", "correlated-gaussian", "adversarial-block")
 class DesignSpec:
     """How to synthesize the n x d design matrix.
 
-    correlated-gaussian sets the Gram spectrum XtX/n to ``spectrum`` (default
-    linspace(1/kappa, 1, d)) exactly; requires n >= d.  adversarial-block
-    plants a small feature block whose covariance has its soft direction
-    aligned with the hard-thresholding trap witness, Gram-corrected exactly
-    on the block; remaining features are iid.
+    correlated-gaussian sets the Gram spectrum XtX/n to linspace(1/kappa,
+    1, d) exactly; requires n >= d.  adversarial-block plants a small feature
+    block whose covariance has its soft direction aligned with the
+    hard-thresholding trap witness, Gram-corrected exactly on the block;
+    remaining features are iid.  Both need a finite ``kappa >= 1``.
     """
 
     kind: str
     n: int
     d: int
-    normalize_columns: bool = False
     kappa: Optional[float] = None
-    spectrum: Optional[tuple] = None
     block_size: Optional[int] = None
 
     def __post_init__(self):
@@ -71,21 +69,17 @@ class DesignSpec:
             raise InfeasibleSpecError(f"unknown design kind {self.kind!r}")
         if self.n < 1 or self.d < 1:
             raise InfeasibleSpecError("need n, d >= 1")
-        if self.kind == "correlated-gaussian":
-            if self.n < self.d:
-                raise InfeasibleSpecError("correlated design needs n >= d")
-            if self.kappa is None and self.spectrum is None:
-                raise InfeasibleSpecError("correlated design needs kappa or spectrum")
+        if self.kind != "iid-gaussian" and self.kappa is None:
+            raise InfeasibleSpecError(f"{self.kind} design needs kappa")
+        # a positive test, so that a NaN fails it
+        if self.kappa is not None and not 1.0 <= self.kappa < math.inf:
+            raise InfeasibleSpecError(f"kappa={self.kappa} must be finite and >= 1")
+        if self.kind == "correlated-gaussian" and self.n < self.d:
+            raise InfeasibleSpecError("correlated design needs n >= d")
         if self.kind == "adversarial-block":
-            if self.kappa is None:
-                raise InfeasibleSpecError("block design needs kappa")
             b = self.block_size or 8
             if b % 2 or b > self.d or b > self.n:
                 raise InfeasibleSpecError("block size must be even and fit in (n, d)")
-            if self.normalize_columns:
-                raise InfeasibleSpecError(
-                    "column normalization would break the exact block Gram"
-                )
 
 
 @dataclass
@@ -94,9 +88,7 @@ class RegressionInstance:
     theta0: np.ndarray
     sigma: float
     y: np.ndarray
-    seed: int
     s0: int
-    spec: DesignSpec
     alpha: float  # certified lower Gram bound (0 when d > n)
     beta: float  # certified upper Gram bound
     block_alpha: Optional[float] = None
@@ -125,34 +117,6 @@ class RegressionInstance:
         diff = self.X @ (np.asarray(theta, dtype=float) - self.theta0)
         return float(np.dot(diff, diff)) / self.n
 
-    def to_record(self) -> dict:
-        spec = self.spec
-        return {
-            "kind": spec.kind,
-            "n": spec.n,
-            "d": spec.d,
-            "normalize_columns": spec.normalize_columns,
-            "kappa": spec.kappa,
-            "spectrum": list(spec.spectrum) if spec.spectrum is not None else None,
-            "block_size": spec.block_size,
-            "s0": self.s0,
-            "sigma": self.sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "RegressionInstance":
-        spec = DesignSpec(
-            kind=record["kind"],
-            n=record["n"],
-            d=record["d"],
-            normalize_columns=record["normalize_columns"],
-            kappa=record["kappa"],
-            spectrum=tuple(record["spectrum"]) if record["spectrum"] else None,
-            block_size=record["block_size"],
-        )
-        return generate_instance(spec, record["s0"], record["sigma"], record["seed"])
-
 
 def _block_covariance(b: int, kappa: float) -> np.ndarray:
     """Covariance with soft direction along the hard-trap witness y - x."""
@@ -174,12 +138,10 @@ def _exact_gram_columns(G: np.ndarray, Sigma: np.ndarray, n: int) -> np.ndarray:
     return G @ whiten @ color
 
 
-def generate_instance(
-    spec: DesignSpec, s0: int, sigma: float, seed: int, amplitude: float = 1.0
-) -> RegressionInstance:
+def generate_instance(spec: DesignSpec, s0: int, sigma: float, seed: int) -> RegressionInstance:
     """Synthesize a regression instance, deterministic from the seed.
 
-    theta0 has s0 nonzeros valued +-amplitude at uniformly random positions
+    theta0 has s0 nonzeros valued +-1 at uniformly random positions
     (restricted to the block for the adversarial-block kind); the response is
     y = X theta0 + sigma * standard normal noise.
     """
@@ -193,14 +155,9 @@ def generate_instance(
         X = rng.standard_normal((n, d))
         position_pool = d
     elif spec.kind == "correlated-gaussian":
-        spectrum = (
-            np.asarray(spec.spectrum, dtype=float)
-            if spec.spectrum is not None
-            else np.linspace(1.0 / spec.kappa, 1.0, d)
-        )
         G = rng.standard_normal((n, d))
         Vmat, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        Sigma = (Vmat * spectrum) @ Vmat.T
+        Sigma = (Vmat * np.linspace(1.0 / spec.kappa, 1.0, d)) @ Vmat.T
         X = _exact_gram_columns(G, Sigma, n)
         position_pool = d
     else:  # adversarial-block
@@ -214,19 +171,13 @@ def generate_instance(
         eigs_b = np.linalg.eigvalsh(Sigma_b)
         block_alpha, block_beta = float(eigs_b[0]), float(eigs_b[-1])
 
-    if spec.normalize_columns:
-        norms = np.linalg.norm(X, axis=0)
-        X = X * (math.sqrt(n) / norms)
-
     positions = rng.choice(position_pool, size=s0, replace=False)
     theta0 = np.zeros(d)
-    theta0[positions] = amplitude * rng.choice([-1.0, 1.0], size=s0)
+    theta0[positions] = rng.choice([-1.0, 1.0], size=s0)
     y = X @ theta0 + sigma * rng.standard_normal(n)
 
     alpha, beta = Gram(X).eig_range()
-    return RegressionInstance(
-        X, theta0, sigma, y, seed, s0, spec, alpha, beta, block_alpha, block_beta
-    )
+    return RegressionInstance(X, theta0, sigma, y, s0, alpha, beta, block_alpha, block_beta)
 
 
 def theorem6_bound_rhs(
@@ -252,7 +203,6 @@ def theorem6_bound_rhs(
 class ErrorReport:
     prediction_error: float
     nnz: float
-    support_recovered: float  # fraction of theta0's support present in theta_hat
     iterations: int
     f_best: float
     bound_rhs: Optional[float] = None
@@ -296,12 +246,9 @@ def fit_iterative(
             float(np.dot(instance.theta0, instance.theta0)),
         )
         violated = pred > bound
-    support0 = np.flatnonzero(instance.theta0)
-    hits = np.count_nonzero(theta_hat[support0]) / max(len(support0), 1)
     report = ErrorReport(
         prediction_error=pred,
         nnz=int(np.count_nonzero(theta_hat)),
-        support_recovered=float(hits),
         iterations=T,
         f_best=float(np.min(trace.fs)),
         bound_rhs=bound,
@@ -327,12 +274,9 @@ def fit_lasso_baseline(
     obj = instance.objective()
     trace = iterate_prox(obj, lam, np.zeros(instance.d), None, T, kkt_tol=kkt_tol)
     theta_hat = trace.xs[-1]
-    support0 = np.flatnonzero(instance.theta0)
-    hits = np.count_nonzero(theta_hat[support0]) / max(len(support0), 1)
     report = ErrorReport(
         prediction_error=instance.prediction_error(theta_hat),
         nnz=int(np.count_nonzero(theta_hat)),
-        support_recovered=float(hits),
         iterations=len(trace.fs),
         f_best=float(trace.fs[-1]),
         trace=trace,

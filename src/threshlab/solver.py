@@ -170,16 +170,16 @@ class QuadraticObjective:
         alpha: float,
         beta: float,
         rng: np.random.Generator,
-        center_scale: float = 1.0,
         linear_scale: float = 0.0,
     ) -> "QuadraticObjective":
-        """Random certified quadratic with spectrum endpoints exactly alpha, beta."""
+        """Random certified quadratic with spectrum endpoints exactly alpha, beta
+        and a standard normal center m."""
         U, _ = np.linalg.qr(rng.standard_normal((d, d)))
         eigs = rng.uniform(alpha, beta, size=d)
         eigs[0], eigs[-1] = alpha, beta
         H = (U * eigs) @ U.T
         H = 0.5 * (H + H.T)
-        m = center_scale * rng.standard_normal(d)
+        m = rng.standard_normal(d)
         g = linear_scale * rng.standard_normal(d)
         return cls(H, m, g, alpha, beta)
 
@@ -189,7 +189,8 @@ class StepRule:
     """Fixed step eta = 1/beta, or backtracking with floor 1/beta.
 
     Adaptive defaults: eta_init = 16/beta (a power-of-two ladder reaching the
-    floor in four halvings), shrink factor 0.5.
+    floor in four halvings), shrink factor 0.5.  A given eta_init must be a
+    finite positive number.
     """
 
     kind: str = "fixed"
@@ -201,6 +202,9 @@ class StepRule:
             raise InvalidParameterError(f"unknown step rule {self.kind!r}")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidParameterError("shrink factor must be in (0, 1)")
+        # positive tests, so that a NaN fails them
+        if self.eta_init is not None and not 0.0 < self.eta_init < math.inf:
+            raise InvalidParameterError(f"eta_init={self.eta_init} must be finite and positive")
 
     @classmethod
     def fixed(cls) -> "StepRule":
@@ -355,8 +359,8 @@ def iterate_prox(
     With ``kkt_tol`` set, stops early once the l1 subgradient optimality
     residual falls below it.
     """
-    if lam < 0:
-        raise InvalidParameterError("lam must be nonnegative")
+    if not lam >= 0:  # a positive test, so that a NaN fails it
+        raise InvalidParameterError(f"lam={lam} must be a nonnegative number")
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
 

@@ -20,7 +20,7 @@ from .concavity import ConcavityQuery, empirical_concavity, lower_bound_witness
 from .lowrank import LiftedOperator, embed_diag, iterate_threshold_matrix
 from .operators import (
     ShrinkageFunction,
-    custom_operator,
+    ThresholdingOperator,
     hard_operator,
     parse_operator,
     prox_l1,
@@ -228,7 +228,7 @@ def _search_sandwich(seed: int) -> tuple:
 
 def _universal_witness(seed: int) -> tuple:
     table = ShrinkageFunction.from_table([1.0, 2.0, 50.0], [0.35, 0.2, 0.05])
-    ops = [parse_operator(n, 5) for n in _OPERATORS] + [custom_operator(5, table)]
+    ops = [parse_operator(n, 5) for n in _OPERATORS] + [ThresholdingOperator(5, table)]
     results = [check_universal_witness(ops, ConcavityQuery(5, 2))]
     return _first_failure(results, "all kinds incl. custom table at (5,2)")
 

@@ -76,6 +76,20 @@ def test_converge_no_bound_column_for_soft(tmp_path):
     assert "theorem1_rhs" not in columns
 
 
+def test_reciprocal_at_c_one_runs_as_hard(tmp_path):
+    # rt:1 is hard thresholding: it gets hard's closed form, so converge
+    # writes the Theorem 1 column and trap finds hard's trap, row for row
+    def rt1_and_hard(line):
+        rt1 = run_csv(tmp_path, f"{line} --operator rt:1", "rt1.csv")[1:]
+        assert rt1 == run_csv(tmp_path, f"{line} --operator hard", "hard.csv")[1:]
+        return rt1
+
+    columns, _ = rt1_and_hard("converge --iters 20")
+    assert "theorem1_rhs" in columns
+    columns, rows = rt1_and_hard("trap --rho 0.5")
+    assert rows[0][columns.index("trap_found")] == "1"
+
+
 def test_converge_zero_iters_header_only(tmp_path):
     _, columns, rows = run_csv(tmp_path, "converge --iters 0")
     assert columns[0] == "t"
@@ -156,6 +170,10 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["concavity-curve", "--out", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    # a design kappa below 1 is refused before anything runs
+    regress = ["regress", "--design", "correlated-gaussian", "--kappa", "0"]
+    assert main(regress + ["--out", str(tmp_path / "r.csv")]) == 1
+    assert "kappa=0.0" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

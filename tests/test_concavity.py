@@ -23,7 +23,7 @@ from threshlab.concavity import (
 from threshlab.operators import (
     InvalidParameterError,
     ShrinkageFunction,
-    custom_operator,
+    ThresholdingOperator,
     hard_operator,
     lq_operator,
     reciprocal_operator,
@@ -129,6 +129,9 @@ class TestClosedForms:
         assert closed_form_gamma(soft_operator(4), 0.5) is None
         assert closed_form_gamma(reciprocal_operator(4, 0.0), 1.0) == math.inf
         assert closed_form_gamma(hard_operator(4), 1.0) == 0.5
+        # rt:1 is hard thresholding (sigma == 0), at rho < 1 and at rho = 1
+        assert closed_form_gamma(reciprocal_operator(4, 1.0), 0.5) == gamma_hard(0.5)
+        assert closed_form_gamma(reciprocal_operator(4, 1.0), 1.0) == 0.5
 
 
 class TestDominanceAndCrossing:
@@ -174,7 +177,7 @@ class TestLowerBoundWitness:
             soft_operator(5),
             reciprocal_operator(5, 0.5),
             lq_operator(5, 0.4),
-            custom_operator(5, table),
+            ThresholdingOperator(5, table),
         ]
         ok, detail = check_universal_witness(ops, ConcavityQuery(5, 2))
         assert ok, detail
@@ -184,6 +187,14 @@ class TestEmpiricalConcavity:
     def test_hard_wide_dimension(self):
         report = empirical_concavity(hard_operator(4), ConcavityQuery(4, 1, d=8), budget=300, seed=0)
         assert report.closed_form == 0.25
+        ok, detail = check_sandwich(report)
+        assert ok, detail
+
+    @pytest.mark.parametrize("s_prime", [2, 4])
+    def test_reciprocal_at_c_one_meets_the_hard_sandwich(self, s_prime):
+        op = reciprocal_operator(4, 1.0)
+        report = empirical_concavity(op, ConcavityQuery(4, s_prime), budget=100, seed=0)
+        assert report.closed_form == gamma_hard(s_prime / 4)
         ok, detail = check_sandwich(report)
         assert ok, detail
 
@@ -250,7 +261,7 @@ class TestEmpiricalConcavity:
 
     def test_custom_operator_lower_estimate(self):
         table = ShrinkageFunction.from_table([1.0, 2.0, 20.0], [0.4, 0.3, 0.05])
-        op = custom_operator(3, table)
+        op = ThresholdingOperator(3, table)
         query = ConcavityQuery(3, 2)
         report = empirical_concavity(op, query, budget=100, seed=4)
         assert report.closed_form is None

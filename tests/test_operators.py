@@ -13,7 +13,7 @@ from threshlab.operators import (
     RootNotBracketedError,
     ShrinkageFunction,
     ShrinkOutOfRangeError,
-    custom_operator,
+    ThresholdingOperator,
     hard_operator,
     lq_larger_root,
     lq_operator,
@@ -323,13 +323,13 @@ class TestLqRoot:
 
 class TestCustomShrink:
     def test_sigma_zero_is_hard(self):
-        op = custom_operator(2, ShrinkageFunction.from_callable(lambda t: np.zeros_like(t)))
+        op = ThresholdingOperator(2, ShrinkageFunction.from_callable(lambda t: np.zeros_like(t)))
         z = [3.0, -1.0, 2.0, 0.5]
         np.testing.assert_array_equal(op(z), hard_operator(2)(z))
 
     def test_reciprocal_sigma_matches(self):
         sig = ShrinkageFunction.from_callable(lambda t: (t - np.sqrt(t * t - 1.0)) / 2.0)
-        op = custom_operator(1, sig)
+        op = ThresholdingOperator(1, sig)
         np.testing.assert_allclose(
             op([2.0, 1.0]),
             reciprocal_operator(1, 0.0)([2.0, 1.0]),
@@ -337,13 +337,13 @@ class TestCustomShrink:
         )
 
     def test_sigma_one_shrinks_by_tau(self):
-        op = custom_operator(1, ShrinkageFunction.from_callable(lambda t: np.ones_like(t)))
+        op = ThresholdingOperator(1, ShrinkageFunction.from_callable(lambda t: np.ones_like(t)))
         z = np.array([3.0, 1.0])
         out = op(z)
         np.testing.assert_allclose(out, [2.0, 0.0])
 
     def test_out_of_range_sigma_raises(self):
-        op = custom_operator(1, ShrinkageFunction.from_callable(lambda t: t))
+        op = ThresholdingOperator(1, ShrinkageFunction.from_callable(lambda t: t))
         with pytest.raises(ShrinkOutOfRangeError):
             op([3.0, 1.0])
 
@@ -369,6 +369,8 @@ class TestProxL1:
     def test_negative_level_rejected(self):
         with pytest.raises(InvalidParameterError):
             prox_l1([1.0], -0.1)
+        with pytest.raises(InvalidParameterError):  # NaN is no nonnegative level
+            prox_l1([1.0, -2.0], np.nan)
 
     def test_array_level_is_per_row(self):
         Z = np.array([[3.0, -1.0, 0.5], [3.0, -1.0, 0.5]])
@@ -379,6 +381,8 @@ class TestProxL1:
     def test_negative_entry_in_array_level_rejected(self):
         with pytest.raises(InvalidParameterError):
             prox_l1(np.ones((2, 3)), np.array([[0.5], [-0.1]]))
+        with pytest.raises(InvalidParameterError):
+            prox_l1(np.ones((2, 3)), np.array([[0.5], [np.nan]]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,8 @@ def test_support_agreement(zs, name):
 
 def _operator_by_name(name, s):
     if name == "table":
-        return custom_operator(s, ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1]))
+        table = ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1])
+        return ThresholdingOperator(s, table)
     return parse_operator(name, s)
 
 
@@ -612,8 +617,8 @@ def test_batched_rows_match_single():
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((6, 7))
     custom = [
-        custom_operator(3, ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1])),
-        custom_operator(3, ShrinkageFunction.from_callable(lambda t: 0.5 / t)),
+        ThresholdingOperator(3, ShrinkageFunction.from_table([1.0, 2.0, 4.0], [0.5, 0.3, 0.1])),
+        ThresholdingOperator(3, ShrinkageFunction.from_callable(lambda t: 0.5 / t)),
     ]
     for op in [parse_operator(name, 3) for name in ALL_OPERATORS] + custom:
         batch = op(Z)

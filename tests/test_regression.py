@@ -11,7 +11,6 @@ from threshlab.regression import (
     DesignSpec,
     EnumerationTooLargeError,
     InfeasibleSpecError,
-    RegressionInstance,
     condition_scaling_experiment,
     default_lasso_penalty,
     fit_iterative,
@@ -31,12 +30,6 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(inst.y, inst.X @ inst.theta0)
         assert np.count_nonzero(inst.theta0) == 5
 
-    def test_column_normalization(self):
-        spec = DesignSpec("iid-gaussian", 120, 40, normalize_columns=True)
-        inst = generate_instance(spec, 4, 1.0, seed=1)
-        ratios = np.linalg.norm(inst.X, axis=0) / math.sqrt(120)
-        assert np.max(ratios) <= 1.0 + 1e-12
-
     def test_bitwise_reproducible(self):
         spec = DesignSpec("correlated-gaussian", 100, 20, kappa=3.0)
         a = generate_instance(spec, 3, 0.7, seed=42)
@@ -44,13 +37,6 @@ class TestGenerateInstance:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.theta0, b.theta0)
-
-    def test_record_round_trip(self):
-        spec = DesignSpec("correlated-gaussian", 80, 16, kappa=2.0)
-        inst = generate_instance(spec, 2, 0.5, seed=11)
-        clone = RegressionInstance.from_record(inst.to_record())
-        assert np.array_equal(inst.X, clone.X)
-        assert np.array_equal(inst.y, clone.y)
 
     def test_certified_kappa_within_ten_percent(self):
         for kappa in [2.0, 4.0, 8.0]:
@@ -80,6 +66,12 @@ class TestGenerateInstance:
             DesignSpec("unknown-kind", 50, 20)
         with pytest.raises(InfeasibleSpecError):
             generate_instance(DesignSpec("iid-gaussian", 10, 5), 6, 1.0, 0)  # s0 > d
+        # kappa must be given, finite and >= 1; kappa = 1 is the edge
+        for kind in ("correlated-gaussian", "adversarial-block"):
+            for kappa in (None, 0.0, 0.5, -2.0, math.nan, math.inf):
+                with pytest.raises(InfeasibleSpecError, match="kappa"):
+                    DesignSpec(kind, 50, 20, kappa=kappa)
+            assert DesignSpec(kind, 50, 20, kappa=1.0).kappa == 1.0
 
     def test_gradient_identity(self):
         spec = DesignSpec("iid-gaussian", 60, 25)

@@ -211,7 +211,7 @@ class TestGram:
 
 class TestLineSearch:
     def test_tight_smoothness_margin(self):
-        # H = beta I: the curvature condition at eta = 1/beta holds with ~zero margin
+        # H = beta I: the curvature condition at eta = 1/beta holds with ~zero slack
         beta = 4.0
         obj = QuadraticObjective(beta * np.eye(3), np.zeros(3), np.zeros(3), beta, beta)
         op = hard_operator(2)
@@ -220,13 +220,13 @@ class TestLineSearch:
         x_next, eta = trace.xs[0], trace.etas[0]
         assert eta == 1.0 / beta
         step = x_next - x
-        margin = (
+        slack = (
             obj.value(x)
             + float(obj.grad(x) @ step)
             + float(step @ step) / (2 * eta)
             - obj.value(x_next)
         )
-        assert margin >= -1e-10
+        assert slack >= -1e-10
 
     def test_adaptive_exceeds_floor_when_well_conditioned(self):
         # true curvature alpha = 1 but certified beta = 4: larger steps pass
@@ -323,6 +323,13 @@ class TestIterateThreshold:
         obj = QuadraticObjective(np.eye(2), np.zeros(2), np.asarray([-1e300, 0.0]), 1.0, 1.0)
         with pytest.raises(InvalidParameterError, match="iterate 1 is not finite"):
             iterate_threshold(obj, hard_operator(1), np.zeros(2), rule, 5)
+
+    @pytest.mark.parametrize("eta_init", [0.0, -1.0, math.nan, math.inf])
+    def test_adaptive_rule_rejects_a_bad_initial_step(self, eta_init):
+        # a value <= 0 or NaN would leave only the floor rung, silently
+        # running the fixed rule; +inf would never reach the floor
+        with pytest.raises(InvalidParameterError, match="eta_init"):
+            StepRule.adaptive(eta_init)
 
     def test_requires_sparse_start(self):
         obj = QuadraticObjective(np.eye(3), np.zeros(3), np.zeros(3), 1.0, 1.0)
@@ -449,6 +456,12 @@ class TestIterateProx:
         obj = QuadraticObjective(np.eye(4), np.asarray([1.0, -2.0, 0.5, 0.0]), np.zeros(4), 1.0, 1.0)
         trace = iterate_prox(obj, 0.0, np.zeros(4), None, 100)
         np.testing.assert_allclose(trace.xs[-1], obj.m, atol=1e-8)
+
+    @pytest.mark.parametrize("lam", [-0.1, math.nan])
+    def test_bad_penalty_rejected_before_any_step(self, lam):
+        obj = QuadraticObjective(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="lam"):
+            iterate_prox(obj, lam, np.zeros(2), None, 5)
 
     def test_prox_fixed_point(self):
         # f = ||x - u||^2/2: from x0 = u one step gives prox_l1(u, lam * eta)
