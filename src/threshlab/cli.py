@@ -71,6 +71,13 @@ def _parse_rho_grid(spec: str) -> np.ndarray:
     return grid
 
 
+def _checked_kappa(kappa: float) -> float:
+    """A ``--kappa`` value, refused unless finite and at least 1."""
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa={kappa} must be finite and >= 1")
+    return kappa
+
+
 def _config(args, *keys, **extra) -> dict:
     """The header of a command's CSV: its name, the arguments ``keys`` and ``extra``."""
     return {"command": args.command, **{k: getattr(args, k) for k in keys}, **extra}
@@ -124,7 +131,7 @@ def cmd_trap(args) -> int:
     s_prime = max(int(round(args.rho * s)), 1)
     query = ConcavityQuery(s, s_prime)
     op = parse_operator(args.operator, s)
-    alpha, beta = 1.0 / float(args.kappa), 1.0
+    alpha, beta = 1.0 / _checked_kappa(args.kappa), 1.0
     config = _config(args, "operator", "kappa", "rho", "sparsity", "iters", "seed", s_prime=s_prime)
     try:
         trap = build_trap(op, query, alpha, beta, seed=args.seed)
@@ -171,17 +178,21 @@ def cmd_prox_trap(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    kappa = _checked_kappa(args.kappa)
+    iid = args.design == "iid-gaussian"
     spec = reg.DesignSpec(
         kind=args.design,
         n=args.n,
         d=args.d,
-        kappa=args.kappa if args.design != "iid-gaussian" else None,
+        kappa=None if iid else kappa,
         block_size=args.block_size if args.design == "adversarial-block" else None,
     )
-    kappa_hat = 1.0 if args.design == "iid-gaussian" else float(args.kappa)
+    # an iid design is fitted with kappa 1 whatever --kappa says; the header
+    # records the kappa the fits use
+    kappa_hat = 1.0 if iid else kappa
     s = min(int(math.ceil(3.0 * kappa_hat * args.s0)), args.d)
     config = _config(
-        args, "design", "n", "d", "s0", "sigma", "kappa", "delta", "reps", "seed",
+        args, "design", "n", "d", "s0", "sigma", "delta", "reps", "seed", kappa=kappa_hat,
         operators="+".join(args.operators), with_lasso=int(args.with_lasso), s=s,
     )
     columns = ["seed", "operator", "prediction_error", "bound_rhs", "violated", "nnz", "iterations"]

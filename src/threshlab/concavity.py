@@ -274,7 +274,10 @@ def _structured_candidates(op: ThresholdingOperator, query: ConcavityQuery):
         for _ in range(9):
             k = int(np.argmax(_ratios(np.multiply.outer(grid, base), z1, x1)))
             scales.append(grid[k])
-            grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 201)
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+            # np.geomspace(lo, hi, 201)'s arithmetic, without its overhead
+            grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), 201))
+            grid[0], grid[-1] = lo, hi
         _collect(out, np.multiply.outer([scales[-1], scales[0]], base), z1, x1)
 
     family(np.asarray(outside[:sp]))
@@ -348,14 +351,15 @@ def empirical_concavity(
         supports = _restart_supports(rng, budget, d, sp)
         y_vals = rng.standard_normal((budget, sp))
         Z = rng.standard_normal((budget, d))
+        # each y-slot column of Y by its flat indices, one row per slot
+        y_index = (supports + np.arange(0, budget * d, d)[:, None]).T.copy()
         Y = np.zeros((budget, d))
-        np.put_along_axis(Y, supports, y_vals, axis=-1)
-        rows = np.arange(budget)
+        Y.put(y_index.T, y_vals)
 
         # Y and X = op(Z) are kept between trials: the operator acts row by
         # row, so y-slot trials reuse X and z-slot trials reuse Y; each trial
-        # moves one column of Y or Z in place and gives the rows that do not
-        # improve their old entry back
+        # moves one column of Y or Z in place and copies the old entries
+        # back on the rows that do not improve
         X = op(Z)
         best = _ratios(Y, Z, X)
         for k in range(ascent_steps):
@@ -363,21 +367,23 @@ def empirical_concavity(
             delta = 0.5 * 0.9 ** (k // n_slots)
             for sign in (1.0, -1.0):
                 if slot < sp:
-                    cols = supports[:, slot]
-                    y_old = Y[rows, cols]
-                    Y[rows, cols] += sign * delta
+                    idx = y_index[slot]
+                    y_old = Y.take(idx)
+                    y_new = y_old + sign * delta
+                    Y.put(idx, y_new)
                     trial = _ratios(Y, Z, X)
                     improve = trial > best
-                    Y[rows[~improve], cols[~improve]] = y_old[~improve]
+                    np.copyto(y_new, y_old, where=~improve)
+                    Y.put(idx, y_new)
                 else:
-                    j = slot - sp
-                    z_j = Z[:, j].copy()
-                    Z[:, j] += sign * delta
+                    z_col = Z[:, slot - sp]
+                    z_old = z_col.copy()
+                    z_col += sign * delta
                     trial_X = op(Z)
                     trial = _ratios(Y, Z, trial_X)
                     improve = trial > best
-                    Z[~improve, j] = z_j[~improve]
-                    X[improve] = trial_X[improve]
+                    np.copyto(z_col, z_old, where=~improve)
+                    np.copyto(X, trial_X, where=improve[:, None])
                 best = np.where(improve, trial, best)
         k_best = int(np.argmax(best))
         if np.isfinite(best[k_best]):

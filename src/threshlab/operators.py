@@ -56,7 +56,10 @@ def _check_sparsity(d: int, s: int) -> None:
 
 
 def support_order(z: np.ndarray) -> np.ndarray:
-    """Indices sorted by decreasing magnitude, ties by increasing index."""
+    """Indices sorted by decreasing magnitude, ties by increasing index.
+
+    The reference form of the support rule: the operators keep the set of
+    its first ``s`` entries, but select it without sorting."""
     # stable sort on -|z| implements the lowest-index-wins tie rule exactly
     return np.argsort(-np.abs(z), axis=-1, kind="stable")
 
@@ -64,14 +67,19 @@ def support_order(z: np.ndarray) -> np.ndarray:
 def _apply_entrywise(z, s: int, entry_map) -> np.ndarray:
     """Shared driver: select support, map kept entries, zero the rest.
 
-    ``entry_map(vals, tau)`` receives the kept entries (shape ``(..., s)``) and
-    the per-row threshold level (shape ``(..., 1)``, guaranteed > 0 where
-    used); rows with tau == 0 keep their entries untouched.  A 0-d ``z``, or
-    a NaN or infinite entry anywhere in ``z``, raises InvalidParameterError.
+    Selection is O(d) per row.  ``np.partition`` gives tau, the (s+1)-st
+    largest magnitude.  Every entry with ``|z| > tau`` is kept; rows that
+    come up short (ties at tau) are topped up with the entries equal to
+    tau, lowest index first.  That is the set ``support_order(z)[..., :s]``
+    selects, so each row keeps exactly ``s`` entries.
 
-    Each row's order is offset by the row's start in the row-major
-    flattening of ``z``, which ``take`` and ``put`` index, so one flat
-    ``take`` gathers and one ``put`` scatters the whole batch.
+    ``entry_map(vals, tau)`` receives the kept entries in index order (shape
+    ``(..., s)``) and the per-row threshold level (shape ``(..., 1)``,
+    guaranteed > 0 where used); rows with tau == 0 keep their entries
+    untouched.  The kept entries are gathered by one ``take`` and scattered
+    by one ``put`` at their indices in the row-major flattening of ``z``.
+    A 0-d ``z``, or a NaN or infinite entry anywhere in ``z``, raises
+    InvalidParameterError.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
@@ -82,15 +90,20 @@ def _apply_entrywise(z, s: int, entry_map) -> np.ndarray:
         raise InvalidParameterError("operator input has a NaN or infinite entry")
     if s == d:
         return z.copy()
-    order = support_order(z)
-    order += np.arange(0, z.size, d).reshape(z.shape[:-1] + (1,))
-    keep = order[..., :s]
-    tau = np.abs(z.take(order[..., s : s + 1]))
-    vals = z.take(keep)
-    safe_tau = np.where(tau > 0.0, tau, 1.0)
-    new_vals = np.where(tau > 0.0, entry_map(vals, safe_tau), vals)
-    out = np.zeros_like(z)
-    out.put(keep, new_vals)
+    mag = np.abs(z)
+    tau = np.partition(mag, d - s - 1, axis=-1)[..., d - s - 1 : d - s]
+    keep = mag > tau
+    # no row keeps more than s entries above tau, so a short total means ties
+    if np.count_nonzero(keep) < tau.size * s:
+        tied = mag == tau
+        missing = s - np.count_nonzero(keep, axis=-1, keepdims=True)
+        keep |= tied & (np.cumsum(tied, axis=-1) <= missing)
+    flat = keep.ravel().nonzero()[0]
+    vals = z.take(flat).reshape(tau.shape[:-1] + (s,))
+    positive = tau > 0.0
+    new_vals = np.where(positive, entry_map(vals, np.where(positive, tau, 1.0)), vals)
+    out = np.zeros(z.shape)
+    out.put(flat, new_vals)
     return out
 
 

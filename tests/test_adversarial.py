@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from threshlab import adversarial, concavity
 from threshlab.adversarial import (
     ConcavityTooSmallError,
     build_prox_trap,
@@ -84,6 +85,26 @@ class TestBuildTrap:
     def test_invalid_bounds(self):
         with pytest.raises(InvalidParameterError):
             build_trap(hard_operator(2), ConcavityQuery(2, 2), -1.0, 1.0)
+
+    def test_families_first_then_full_search(self, monkeypatch):
+        # the exact families (budget 0) decide when they clear 1/(2 kappa);
+        # the seeded restart search runs only when they fall short
+        budgets = []
+
+        def recording(op, query, budget=1000, seed=0):
+            budgets.append(budget)
+            return concavity.empirical_concavity(op, query, budget=budget, seed=seed)
+
+        # build_trap resolves the name in its own module
+        monkeypatch.setattr(adversarial, "empirical_concavity", recording)
+        build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=0)
+        assert budgets == [0]
+        budgets.clear()
+        with pytest.raises(ConcavityTooSmallError):
+            build_trap(
+                reciprocal_operator(4, 0.25), ConcavityQuery(4, 1), 1.0 / 1.2, 1.0, seed=0
+            )
+        assert budgets == [0, 400]
 
 
 class TestBuildProxTrap:

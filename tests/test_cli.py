@@ -174,6 +174,20 @@ def test_error_exit_code(tmp_path, capsys):
     regress = ["regress", "--design", "correlated-gaussian", "--kappa", "0"]
     assert main(regress + ["--out", str(tmp_path / "r.csv")]) == 1
     assert "kappa=0.0" in capsys.readouterr().err
+    # so is one that is not finite, for every design, and by trap
+    for design in ("iid-gaussian", "correlated-gaussian", "adversarial-block"):
+        for kappa in ("0", "0.5", "nan", "inf"):
+            regress = ["regress", "--design", design, "--kappa", kappa]
+            assert main(regress + ["--out", str(tmp_path / "r.csv")]) == 1
+            assert f"kappa={float(kappa)} must be finite and >= 1" in capsys.readouterr().err
+    assert main(["trap", "--kappa", "0", "--out", str(tmp_path / "t.csv")]) == 1
+    assert "kappa=0.0 must be finite and >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "t.csv").exists()
+    # an iid design is fitted with kappa 1, and its header says so
+    for kappa in ("1", "3"):
+        line = f"regress --design iid-gaussian --kappa {kappa} --reps 1 --n 40 --d 50"
+        header, _, _ = run_csv(tmp_path, line, f"iid-{kappa}.csv")
+        assert header["kappa"] == "1"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -484,16 +484,19 @@ def _along_axis_driver(z, s, entry_map):
 
 @st.composite
 def driver_inputs(draw):
-    """Shapes (d,), (k, d) and (k, n, d) in C, Fortran or reversed-view
-    layout; small integers give many ties and rows with tau == 0."""
-    d = draw(st.integers(1, 7))
-    shape = draw(st.sampled_from([(), (3,), (2, 3)])) + (d,)
+    """Shapes (d,), (k, d) and (2, k, d) with d up to 40 and up to 50 rows,
+    in C, Fortran or reversed-view layout.  Entries come from a drawn seed;
+    small integers give many ties, and zeroing a drawn share of the entries
+    gives rows with tau == 0."""
+    d = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 50))
+    shape = draw(st.sampled_from([(), (rows,), (2, (rows + 1) // 2)])) + (d,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        entries = st.integers(-2, 2).map(float)
+        z = rng.integers(-2, 3, size=shape).astype(float)
     else:
-        entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
-    size = int(np.prod(shape))
-    z = np.array(draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+        z = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** draw(st.integers(-6, 6))
+    z[rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
     layout = draw(st.sampled_from(["C", "F", "reversed"]))
     if layout == "F":
         z = np.asfortranarray(z)
