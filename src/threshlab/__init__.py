@@ -29,7 +29,6 @@ from .concavity import (
 from .lowrank import (
     LiftedOperator,
     MatrixConcavityQuery,
-    MatrixObjective,
     build_matrix_trap,
     embed_diag,
     empirical_matrix_concavity,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concavity import ConcavityQuery, _ratios, empirical_concavity
-from .operators import InvalidParameterError, ThresholdingOperator
+from .operators import InvalidParameterError, ThresholdingOperator, prox_l1
 from .solver import QuadraticObjective
 
 
@@ -43,8 +43,10 @@ class TrapInstance:
 
 
 def _trap_objective(x, y, z, alpha, beta):
+    """The trap's objective over points of x's shape, vector or matrix;
+    ``np.outer`` flattens u, so H acts on the x.size entries."""
     u1 = (y - x) / np.linalg.norm(y - x)
-    H = beta * np.eye(x.shape[0]) + (alpha - beta) * np.outer(u1, u1)
+    H = beta * np.eye(x.size) + (alpha - beta) * np.outer(u1, u1)
     g = -beta * (z - x)
     return QuadraticObjective(H, m=x.copy(), g=g, alpha=alpha, beta=beta)
 
@@ -162,11 +164,6 @@ def build_prox_trap(d: int, v, weights=None) -> ProxTrapInstance:
     return ProxTrapInstance(v, w, float(c), y, weights, obj)
 
 
-def prox_weighted_l1(z, level: float, weights) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - level * np.asarray(weights), 0.0)
-
-
 def default_prox_lambda_grid(instance: ProxTrapInstance, interior: int = 100) -> np.ndarray:
     """Grid with 0, every soft-threshold breakpoint, interior fill, and one beyond."""
     bp = np.abs(instance.target) / instance.weights
@@ -195,12 +192,13 @@ def sweep_prox_path(instance: ProxTrapInstance, lam_grid) -> list:
 
     The objective is half a squared distance, so the penalized minimizer is
     the (weighted) soft thresholding of the target at each level, exactly.
+    A negative level raises InvalidParameterError.
     """
     d = instance.v.shape[0]
     f_y = instance.objective.value(instance.y)
     records = []
     for lam in np.asarray(lam_grid, dtype=float):
-        x_hat = prox_weighted_l1(instance.target, lam, instance.weights)
+        x_hat = prox_l1(instance.target, lam * instance.weights)
         nnz = int(np.count_nonzero(x_hat))
         f_val = instance.objective.value(x_hat)
         records.append(

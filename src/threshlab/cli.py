@@ -29,7 +29,6 @@ from .concavity import ConcavityQuery
 from .lowrank import (
     LiftedOperator,
     MatrixConcavityQuery,
-    MatrixObjective,
     empirical_matrix_concavity,
     iterate_threshold_matrix,
 )
@@ -63,6 +62,8 @@ def _parse_rho_grid(spec: str) -> np.ndarray:
         a, b, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad rho grid {spec!r}, expected a:b:step") from exc
+    if not all(map(math.isfinite, (a, b, step))) or step == 0.0:
+        raise ValueError(f"bad rho grid {spec!r}, expected finite a:b:step with step != 0")
     count = int(round((b - a) / step)) + 1
     grid = a + step * np.arange(count)
     grid = grid[(grid > 0.0) & (grid < 1.0)]
@@ -232,7 +233,7 @@ def cmd_lowrank_demo(args) -> int:
     eckart_young_gap = float(np.linalg.norm(one_step - A))
     query = MatrixConcavityQuery(args.n, args.m, args.rank, args.rank_prime)
     report = empirical_matrix_concavity(lifted, query, budget=100, seed=args.seed)
-    obj = MatrixObjective.random_certified(args.n, args.m, 1.0, float(args.kappa), rng)
+    obj = QuadraticObjective.random_instance((args.n, args.m), 1.0, float(args.kappa), rng)
     trace = iterate_threshold_matrix(
         obj, lifted, np.zeros((args.n, args.m)), StepRule.fixed(), args.iters
     )

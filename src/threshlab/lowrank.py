@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .adversarial import _trap_objective, build_trap
 from .concavity import (
     ConcavityQuery,
     ConcavityReport,
@@ -96,10 +97,10 @@ def empirical_matrix_concavity(
 ) -> ConcavityReport:
     """Empirical maximization of the matrix concavity ratio.
 
-    Seeds the search with diagonal embeddings of the vector witnesses (which
-    attain the vector supremum; by the lifting equality the matrix supremum
-    is the same), the stacked-identity witness family, and random rank-s'
-    factor pairs refined by batched coordinate ascent.
+    Seeds the search with the diagonal embedding of the vector search's
+    witness (which attains the vector supremum; by the lifting equality the
+    matrix supremum is the same), then random rank-s' factor pairs refined
+    by batched coordinate ascent.
     """
     n, m, s, sp = query.n, query.m, query.s, query.s_prime
     if lifted.base.s != s:
@@ -119,14 +120,6 @@ def empirical_matrix_concavity(
     vec_report = empirical_concavity(lifted.base, vec_query, budget=budget, seed=seed)
     Z_vec = embed_diag(vec_report.witness_z, n, m)
     _collect(candidates, embed_diag(vec_report.witness_y, n, m)[None], Z_vec, lifted(Z_vec))
-
-    # stacked-identity family: Z = [I; 0], Y = t * (V_perp V_perp' padded)
-    Z_id = embed_diag(np.ones(p), n, m)
-    X_id = lifted(Z_id)
-    base_dirs = np.zeros((n, m))
-    sel = np.arange(s, s + sp)
-    base_dirs[sel, sel] = 1.0
-    _collect(candidates, np.multiply.outer(np.logspace(-8, 4, 200), base_dirs), Z_id, X_id)
 
     if budget > 0:
         nb = min(budget, 200)
@@ -175,43 +168,25 @@ def empirical_matrix_concavity(
     return best_report(candidates, closed_form_gamma(lifted.base, query.rho), lifted)
 
 
-@dataclass
-class MatrixObjective:
-    """Certified quadratic over matrices, backed by a vectorized objective."""
-
-    vec_objective: QuadraticObjective
-    shape: tuple
-
-    @property
-    def alpha(self) -> float:
-        return self.vec_objective.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.vec_objective.beta
-
-    def value_and_grad(self, X) -> tuple:
-        f, g = self.vec_objective.value_and_grad(np.asarray(X, dtype=float).ravel())
-        return f, g.reshape(self.shape)
-
-    def value(self, X) -> float:
-        return self.vec_objective.value(np.asarray(X, dtype=float).ravel())
-
-    def grad(self, X) -> np.ndarray:
-        return self.vec_objective.grad(
-            np.asarray(X, dtype=float).ravel()
-        ).reshape(self.shape)
+class MatrixObjective(QuadraticObjective):
+    """A ``QuadraticObjective`` over matrices, kept only for the two spellings
+    the benchmark calls: ``perfbench/tracer.py:136`` patches
+    ``random_certified`` and ``perfbench/workloads.py:92-96`` reads
+    ``vec_objective``.  New code builds ``QuadraticObjective`` directly."""
 
     @classmethod
     def random_certified(
         cls, n: int, m: int, alpha: float, beta: float, rng: np.random.Generator
     ) -> "MatrixObjective":
-        vec = QuadraticObjective.random_instance(n * m, alpha, beta, rng)
-        return cls(vec, (n, m))
+        return cls.random_instance((n, m), alpha, beta, rng)
+
+    @property
+    def vec_objective(self) -> "MatrixObjective":
+        return self
 
 
 def iterate_threshold_matrix(
-    obj: MatrixObjective,
+    obj: QuadraticObjective,
     lifted: LiftedOperator,
     X0,
     rule: Optional[StepRule] = None,
@@ -234,12 +209,9 @@ def build_matrix_trap(
     seed: int = 0,
 ):
     """Diagonal embedding of the vector stationary trap (square p x p case)."""
-    from .adversarial import _trap_objective, build_trap
-
     trap = build_trap(op, query, alpha, beta, budget=budget, seed=seed)
     p = trap.x0.shape[0]
     X0 = embed_diag(trap.x0, p, p)
     Y = embed_diag(trap.y, p, p)
     Z = embed_diag(trap.z, p, p)
-    vec = _trap_objective(X0.ravel(), Y.ravel(), Z.ravel(), alpha, beta)
-    return MatrixObjective(vec, (p, p)), X0, Y, Z, trap.gamma_hat
+    return _trap_objective(X0, Y, Z, alpha, beta), X0, Y, Z, trap.gamma_hat

@@ -6,7 +6,10 @@ alpha <= eig(H) <= beta.  Full-spectrum bounds imply restricted strong
 convexity and smoothness at every sparsity level, which is what the
 convergence guarantee consumes.
 
-The Hessian is a dense d x d array, or a ``Gram`` that applies X'X/n as
+An iterate may have any shape: a matrix objective is the vector objective
+over its d flattened entries (vec(X), with Frobenius geometry), so the
+vector, prox and lifted-matrix solvers share one quadratic type.  The
+Hessian is a dense d x d array, or a ``Gram`` that applies X'X/n as
 X' (X v) / n from the n x d factor X, so a regression objective with d > n
 never forms the d x d matrix.  The solver asks for f and its gradient
 together (``value_and_grad``), one Hessian product per evaluated point.
@@ -83,11 +86,14 @@ class Gram:
 class QuadraticObjective:
     """f(x) = (x-m)' H (x-m)/2 + g'(x-m), with certified spectrum [alpha, beta].
 
-    ``H`` is a dense symmetric array or a factored ``Gram``.  Construction
-    verifies the declared bounds to a 1e-9 scale tolerance: a dense H by its
-    eigendecomposition, a Gram by ``Gram.eig_range`` (``eigvalsh`` of the
-    smaller of X'X/n and XX'/n).  With ``validate=False`` the caller owns an
-    equivalent certification, as ``generate_instance`` does.
+    ``m`` and ``g`` share one shape, that of every point f takes, and ``H``
+    acts on their d = ``m.size`` flattened entries: f at a matrix X is f at
+    vec(X), row-major.  ``H`` is a dense symmetric array or a factored
+    ``Gram``.  Construction verifies the declared bounds to a 1e-9 scale
+    tolerance: a dense H by its eigendecomposition, a Gram by
+    ``Gram.eig_range`` (``eigvalsh`` of the smaller of X'X/n and XX'/n).
+    With ``validate=False`` the caller owns an equivalent certification, as
+    ``generate_instance`` does.
     """
 
     H: np.ndarray | Gram
@@ -103,8 +109,8 @@ class QuadraticObjective:
         self.m = np.asarray(self.m, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         d = self.H.shape[0]
-        if self.H.shape != (d, d) or self.m.shape != (d,) or self.g.shape != (d,):
-            raise InvalidParameterError("H must be d x d with matching m, g")
+        if self.H.shape != (d, d) or self.m.size != d or self.g.shape != self.m.shape:
+            raise InvalidParameterError("H must be d x d, with m and g of one shape and d entries")
         if not self.alpha <= self.beta:
             raise InvalidParameterError("need alpha <= beta")
         if self.validate:
@@ -136,16 +142,19 @@ class QuadraticObjective:
     # the decorator form costs about half of a ``with np.errstate`` block
     @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, x) -> tuple:
-        """``(f(x), grad f(x))`` from one Hessian product ``H @ (x - m)``.
+        """``(f(x), grad f(x))`` from one Hessian product ``H @ (x - m)``;
+        x and the gradient have the shape of ``m``, and any other shape (a
+        transposed matrix included) raises InvalidParameterError.
 
         An overflow gives an inf or nan f without numpy's RuntimeWarning, so
         the solver's finiteness check reports it as InvalidParameterError."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.m.shape:
-            raise InvalidParameterError("dimension mismatch")
-        dx = x - self.m
+            raise InvalidParameterError(f"x has shape {x.shape}, not {self.m.shape}")
+        dx = (x - self.m).ravel()
         hdx = self.H @ dx
-        return float(0.5 * dx @ hdx + self.g @ dx), hdx + self.g
+        g = self.g.ravel()
+        return float(0.5 * dx @ hdx + g @ dx), (hdx + g).reshape(x.shape)
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -160,27 +169,32 @@ class QuadraticObjective:
         return self.H
 
     def minimizer(self) -> np.ndarray:
-        """Unconstrained minimizer m - H^{-1} g (requires alpha > 0, dense H)."""
-        return self.m - np.linalg.solve(self._dense_hessian("minimizer"), self.g)
+        """Unconstrained minimizer m - H^{-1} g, shaped like m (requires
+        alpha > 0, dense H)."""
+        step = np.linalg.solve(self._dense_hessian("minimizer"), self.g.ravel())
+        return self.m - step.reshape(self.m.shape)
 
     @classmethod
     def random_instance(
         cls,
-        d: int,
+        shape,
         alpha: float,
         beta: float,
         rng: np.random.Generator,
         linear_scale: float = 0.0,
     ) -> "QuadraticObjective":
-        """Random certified quadratic with spectrum endpoints exactly alpha, beta
-        and a standard normal center m."""
+        """Random certified quadratic over points of ``shape`` (an int d for
+        vectors, or a tuple such as (n, m) for matrices), with spectrum
+        endpoints exactly alpha, beta and a standard normal center m."""
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        d = math.prod(shape)
         U, _ = np.linalg.qr(rng.standard_normal((d, d)))
         eigs = rng.uniform(alpha, beta, size=d)
         eigs[0], eigs[-1] = alpha, beta
         H = (U * eigs) @ U.T
         H = 0.5 * (H + H.T)
-        m = rng.standard_normal(d)
-        g = linear_scale * rng.standard_normal(d)
+        m = rng.standard_normal(shape)
+        g = linear_scale * rng.standard_normal(shape)
         return cls(H, m, g, alpha, beta)
 
 
@@ -227,7 +241,6 @@ class IterateTrace:
     """
 
     x0: np.ndarray
-    f0: float
     xs: np.ndarray
     etas: np.ndarray
     fs: np.ndarray
@@ -311,7 +324,7 @@ def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
     # the ladder is the same at every step; shaped to broadcast over a stack
     ladder = _ladder(obj, rule).reshape((-1,) + (1,) * x.ndim)
     fx, gx = obj.value_and_grad(x)
-    f0 = _finite(fx, "x0")
+    _finite(fx, "x0")
     for t in range(1, T + 1):
         x, eta, fx, gx, rung = _step(obj, x, fx, gx, step_map, ladder)
         xs.append(x)
@@ -322,7 +335,6 @@ def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
             break
     return IterateTrace(
         x0,
-        f0,
         np.asarray(xs),
         np.asarray(etas, dtype=float),
         np.asarray(fs),

@@ -131,13 +131,12 @@ def check_theorem7_run(obj, lifted, rule, T: int, gamma: float) -> tuple:
     inequality holds for gamma < 1/2, so unlike Theorem 1 it is not gated on
     gamma < 1/(2 kappa).
     """
-    n, m = obj.shape
-    trace = iterate_threshold_matrix(obj, lifted, np.zeros((n, m)), rule, T)
-    U, sv, Vt = np.linalg.svd(obj.vec_objective.minimizer().reshape(n, m))
+    trace = iterate_threshold_matrix(obj, lifted, np.zeros(obj.m.shape), rule, T)
+    U, sv, Vt = np.linalg.svd(obj.minimizer())
     Y = sv[0] * np.outer(U[:, 0], Vt[0])
     dist0_sq = float(np.sum((trace.x0 - Y) ** 2))
     t = np.arange(1, T + 1)
-    rhs = convergence_bound_rhs(t, obj.value(Y), gamma, obj.beta / obj.alpha, obj.beta, dist0_sq)
+    rhs = convergence_bound_rhs(t, obj.value(Y), gamma, obj.kappa, obj.beta, dist0_sq)
     return bool(np.all(trace.running_min <= rhs)), f"{T} matrix steps under the bound"
 
 

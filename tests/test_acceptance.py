@@ -20,7 +20,6 @@ from threshlab.concavity import (
 from threshlab.lowrank import (
     LiftedOperator,
     MatrixConcavityQuery,
-    MatrixObjective,
     embed_diag,
     empirical_matrix_concavity,
 )
@@ -189,7 +188,7 @@ def test_criterion_8_theorem7_bound():
     gamma = gamma_reciprocal(1.0 / 3.0, 0.0)
     violations = 0
     for _ in range(50):
-        obj = MatrixObjective.random_certified(8, 8, 1.0, kappa, rng)
+        obj = QuadraticObjective.random_instance((8, 8), 1.0, kappa, rng)
         violations += int(not check_theorem7_run(obj, lifted, StepRule.fixed(), 100, gamma)[0])
     ok = violations == 0
     elapsed = time.perf_counter() - t0

@@ -143,6 +143,9 @@ class TestBuildProxTrap:
         inst = build_prox_trap(4, np.asarray([1.0, -2.0, 0.3, 0.7]))
         recs = sweep_prox_path(inst, [0.0])
         assert recs[0].nnz == 4 and recs[0].dense
+        # a negative level is refused, not counted as a dense solution
+        with pytest.raises(InvalidParameterError):
+            sweep_prox_path(build_prox_trap(3, [1.0, -0.7, 1.3]), [-0.5])
 
     def test_weighted_variant(self):
         v = np.asarray([1.0, -1.5, 2.0])

@@ -183,6 +183,15 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["trap", "--kappa", "0", "--out", str(tmp_path / "t.csv")]) == 1
     assert "kappa=0.0 must be finite and >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "t.csv").exists()
+    # a rho grid with a zero step or a part that is not finite says so
+    for spec in ("0.1:0.5:0", "0.1:0.5:nan", "nan:0.5:0.1", "0.1:inf:0.1", "0.9:-inf:-0.1"):
+        curve = ["concavity-curve", "--rho-grid", spec, "--out", str(tmp_path / "c.csv")]
+        assert main(curve) == 1
+        assert f"error: bad rho grid '{spec}', expected finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    # a descending grid with a negative step still works
+    _, _, rows = run_csv(tmp_path, "concavity-curve --rho-grid 0.9:0.1:-0.2", "down.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx([0.9, 0.7, 0.5, 0.3, 0.1])
     # an iid design is fitted with kappa 1, and its header says so
     for kappa in ("1", "3"):
         line = f"regress --design iid-gaussian --kappa {kappa} --reps 1 --n 40 --d 50"

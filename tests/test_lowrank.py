@@ -20,7 +20,7 @@ from threshlab.operators import (
     lq_operator,
     reciprocal_operator,
 )
-from threshlab.solver import QuadraticObjective, StepRule
+from threshlab.solver import Gram, QuadraticObjective, StepRule
 from threshlab.validate import check_theorem7_run, check_trap
 
 
@@ -162,8 +162,7 @@ class TestMatrixSolver:
     def test_one_step_exact_rank_recovery(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
-        vec = QuadraticObjective(np.eye(36), m=A.ravel(), g=np.zeros(36), alpha=1.0, beta=1.0)
-        obj = MatrixObjective(vec, (6, 6))
+        obj = QuadraticObjective(np.eye(36), m=A, g=np.zeros((6, 6)), alpha=1.0, beta=1.0)
         trace = iterate_threshold_matrix(
             obj, LiftedOperator(hard_operator(3)), np.zeros((6, 6)), None, 1
         )
@@ -171,7 +170,7 @@ class TestMatrixSolver:
 
     def test_rank_constraint_enforced(self):
         rng = np.random.default_rng(7)
-        obj = MatrixObjective.random_certified(5, 5, 1.0, 2.0, rng)
+        obj = QuadraticObjective.random_instance((5, 5), 1.0, 2.0, rng)
         lifted = LiftedOperator(reciprocal_operator(2, 0.0))
         trace = iterate_threshold_matrix(obj, lifted, np.zeros((5, 5)), None, 20)
         for X in trace.xs:
@@ -184,13 +183,13 @@ class TestMatrixSolver:
         lifted = LiftedOperator(reciprocal_operator(3, 0.0))
         gamma = gamma_reciprocal(1.0 / 3.0, 0.0)
         for _ in range(5):
-            obj = MatrixObjective.random_certified(8, 8, 1.0, kappa, rng)
+            obj = QuadraticObjective.random_instance((8, 8), 1.0, kappa, rng)
             ok, detail = check_theorem7_run(obj, lifted, None, 50, gamma)
             assert ok, detail
 
     def test_adaptive_rule_floor(self):
         rng = np.random.default_rng(9)
-        obj = MatrixObjective.random_certified(6, 6, 1.0, 3.0, rng)
+        obj = QuadraticObjective.random_instance((6, 6), 1.0, 3.0, rng)
         lifted = LiftedOperator(hard_operator(2))
         trace = iterate_threshold_matrix(
             obj, lifted, np.zeros((6, 6)), StepRule.adaptive(), 20
@@ -204,13 +203,53 @@ class TestMatrixSolver:
         lifted = LiftedOperator(reciprocal_operator(3, 0.0))
         gamma = gamma_reciprocal(1.0 / 3.0, 0.0)
         for _ in range(3):
-            obj = MatrixObjective.random_certified(8, 8, 1.0, kappa, rng)
+            obj = QuadraticObjective.random_instance((8, 8), 1.0, kappa, rng)
             ok, detail = check_theorem7_run(obj, lifted, StepRule.adaptive(), 50, gamma)
             assert ok, detail
 
+    def test_transposed_start_refused(self):
+        obj = QuadraticObjective.random_instance((5, 4), 1.0, 2.0, np.random.default_rng(12))
+        with pytest.raises(InvalidParameterError):
+            iterate_threshold_matrix(
+                obj, LiftedOperator(hard_operator(2)), np.zeros((4, 5)), None, 2
+            )
+        with pytest.raises(InvalidParameterError):
+            obj.value(np.zeros((4, 5)))
+
+    def test_factored_gram_over_matrices(self):
+        # the Hessian A'A/n of a matrix-sensing loss ||A vec(X) - b||^2 / (2n)
+        # with n < pq stays factored, and the lifted solver runs on it as is
+        rng = np.random.default_rng(13)
+        p, q, n = 6, 5, 12
+        A = rng.standard_normal((n, p * q))
+        M, g = rng.standard_normal((2, p, q))
+        beta = Gram(A).eig_range()[1]
+        obj = QuadraticObjective(Gram(A), M, g, 0.0, beta)
+        dense = QuadraticObjective(A.T @ A / n, M, g, 0.0, beta)
+        for X in rng.standard_normal((3, p, q)):
+            f, grad = obj.value_and_grad(X)
+            f_dense, grad_dense = dense.value_and_grad(X)
+            assert grad.shape == (p, q)
+            np.testing.assert_allclose(f, f_dense, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grad, grad_dense, rtol=1e-12, atol=1e-12)
+        trace = iterate_threshold_matrix(
+            obj, LiftedOperator(hard_operator(2)), np.zeros((p, q)), None, 20
+        )
+        assert len(trace.xs) == 20 and all(numerical_rank(X) <= 2 for X in trace.xs)
+        assert trace.running_min[-1] < obj.value(np.zeros((p, q)))
+
+    def test_benchmark_spelling_of_a_matrix_objective(self):
+        # perfbench/tracer.py patches random_certified and
+        # perfbench/workloads.py reads vec_objective
+        obj = MatrixObjective.random_certified(5, 4, 1.0, 3.0, np.random.default_rng(14))
+        ref = QuadraticObjective.random_instance((5, 4), 1.0, 3.0, np.random.default_rng(14))
+        for name in ("H", "m", "g", "alpha", "beta"):
+            assert np.asarray(getattr(obj, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+        assert obj.m.shape == (5, 4) and obj.vec_objective is obj
+
     def test_requires_low_rank_start(self):
         rng = np.random.default_rng(10)
-        obj = MatrixObjective.random_certified(4, 4, 1.0, 2.0, rng)
+        obj = QuadraticObjective.random_instance((4, 4), 1.0, 2.0, rng)
         with pytest.raises(InvalidParameterError):
             iterate_threshold_matrix(
                 obj, LiftedOperator(hard_operator(1)), rng.standard_normal((4, 4)), None, 2

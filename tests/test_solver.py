@@ -7,7 +7,7 @@ import pytest
 
 from threshlab import solver
 from threshlab.concavity import gamma_hard, gamma_reciprocal
-from threshlab.lowrank import LiftedOperator, MatrixObjective, iterate_threshold_matrix
+from threshlab.lowrank import LiftedOperator, iterate_threshold_matrix
 from threshlab.operators import (
     InvalidParameterError,
     hard_operator,
@@ -106,7 +106,7 @@ def _ladder_runs(rule):
                 lambda obj=obj: iterate_prox(obj, 0.3, np.zeros(12), rule(obj.beta), 40),
             )
         )
-        mobj = MatrixObjective.random_certified(5, 4, 1.0, 3.0, rng)
+        mobj = QuadraticObjective.random_instance((5, 4), 1.0, 3.0, rng)
         runs.append(
             (
                 f"matrix seed {seed}",
@@ -123,6 +123,13 @@ def _ladder_runs(rule):
 
 
 class TestQuadraticObjective:
+    def test_center_and_linear_term_share_one_shape(self):
+        obj = QuadraticObjective(np.eye(6), np.ones((2, 3)), np.zeros((2, 3)), 1.0, 1.0)
+        assert obj.value(np.zeros((2, 3))) == 3.0 and obj.grad(np.zeros((2, 3))).shape == (2, 3)
+        for m, g in [((2, 3), (3, 2)), ((2, 3), (6,)), ((6,), (2, 3)), ((2, 2), (2, 2))]:
+            with pytest.raises(InvalidParameterError):
+                QuadraticObjective(np.eye(6), np.ones(m), np.zeros(g), 1.0, 1.0)
+
     def test_construction_checks_spectrum(self):
         H = np.diag([1.0, 2.0, 3.0])
         QuadraticObjective(H, np.zeros(3), np.zeros(3), 1.0, 3.0)
@@ -422,7 +429,7 @@ class TestStepLadder:
         trace = iterate_prox(obj, 0.3, np.zeros(12), rule, 30)
         assert len(prox_calls) == len(trace.fs) == 30
 
-        mobj = MatrixObjective.random_certified(5, 4, 1.0, 3.0, rng)
+        mobj = QuadraticObjective.random_instance((5, 4), 1.0, 3.0, rng)
         lifted = _CountingOperator(LiftedOperator(reciprocal_operator(2, 0.0)))
         trace = iterate_threshold_matrix(mobj, lifted, np.zeros((5, 4)), rule, 20)
         assert lifted.calls == len(trace.fs) == 20

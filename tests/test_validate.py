@@ -10,7 +10,7 @@ import threshlab.concavity as conc
 import threshlab.validate as validate
 from threshlab.adversarial import build_prox_trap, build_trap, default_prox_lambda_grid
 from threshlab.concavity import ConcavityQuery, ConcavityReport
-from threshlab.lowrank import LiftedOperator, MatrixObjective
+from threshlab.lowrank import LiftedOperator
 from threshlab.operators import hard_operator, reciprocal_operator
 from threshlab.regression import DesignSpec, generate_instance
 from threshlab.solver import Gram, QuadraticObjective
@@ -73,7 +73,7 @@ def test_bound_runs_reject_a_gamma_the_operator_cannot_meet():
     obj = QuadraticObjective(np.eye(2), np.ones(2), np.zeros(2), 1.0, 1.0)
     assert check_theorem1_run(obj, hard_operator(2), None, 5, 2, 0.01)[0]
     assert check_theorem1_run(obj, hard_operator(1), None, 5, 2, 0.01) == (False, "bound violated")
-    eye = MatrixObjective(QuadraticObjective(np.eye(4), np.eye(2).ravel(), np.zeros(4), 1.0, 1.0), (2, 2))
+    eye = QuadraticObjective(np.eye(4), np.eye(2), np.zeros((2, 2)), 1.0, 1.0)
     assert check_theorem7_run(eye, LiftedOperator(hard_operator(2)), None, 5, 0.01)[0]
     assert not check_theorem7_run(eye, LiftedOperator(reciprocal_operator(1)), None, 5, 0.01)[0]
 
