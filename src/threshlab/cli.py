@@ -191,7 +191,7 @@ def cmd_regress(args) -> int:
     # an iid design is fitted with kappa 1 whatever --kappa says; the header
     # records the kappa the fits use
     kappa_hat = 1.0 if iid else kappa
-    s = min(int(math.ceil(3.0 * kappa_hat * args.s0)), args.d)
+    s = reg.fit_sparsity(kappa_hat, args.s0, args.d)
     config = _config(
         args, "design", "n", "d", "s0", "sigma", "delta", "reps", "seed", kappa=kappa_hat,
         operators="+".join(args.operators), with_lasso=int(args.with_lasso), s=s,
@@ -285,7 +285,12 @@ def build_parser() -> tuple:
 
     p = add("concavity-curve", help="closed-form concavity vs rho table")
     common(p)
-    p.add_argument("--rho-grid", default="0.01:0.99:0.01")
+    p.add_argument(
+        "--rho-grid",
+        default="0.01:0.99:0.01",
+        help="a:b:step, keeping the points inside (0, 1); a grid that starts"
+        " below zero must be written --rho-grid=a:b:step",
+    )
     p.set_defaults(func=cmd_concavity_curve)
 
     p = add("converge", help="solver trace on a random certified quadratic")

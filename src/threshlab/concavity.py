@@ -31,11 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import (
-    InvalidParameterError,
-    ThresholdingOperator,
-    support_order,
-)
+from .operators import InvalidParameterError, ThresholdingOperator
 
 
 class DegenerateWitnessError(ValueError):
@@ -250,59 +246,32 @@ def best_report(candidates: list, closed_form: Optional[float], op) -> Concavity
 
 
 def _structured_candidates(op: ThresholdingOperator, query: ConcavityQuery):
-    """Witness families from the closed-form derivations, refined by scale.
+    """The two witness families at z = all-ones, each at its exact maximizer.
 
-    Family A places y = u * indicator on an s'-set disjoint from the support
-    selected on z = all-ones; family B nests the s'-set inside that support.
-    Both ratios are unimodal in the scalar scale u.  A 200-point log grid
-    brackets the maximum; each zoom round then lays 201 log-spaced points
-    between the best point's neighbours, shrinking the bracket 100-fold, so
-    eight rounds reach float resolution.
+    Under the shared support rule z = all-ones keeps its first s entries,
+    all mapped to the same value xb = op(z)[0].  Family A puts y = t on s'
+    entries outside that support; its maximizer is ``lower_bound_witness``.
+    Family B puts y = xb + v on the first s' support entries.  With
+    k = (s - s') xb its ratio is (1 - xb)(s' v - k) / (s' v^2 + k xb),
+    maximized at the positive root v = (k + sqrt(k^2 + s' k xb)) / s' of
+    s' v^2 - 2 k v - k xb = 0.  At k = 0 the ratio (1 - xb) / v diverges as
+    v -> 0; it is scored once at v = 1e-8 (1 - xb).  Both families are
+    scored through ``_ratios``, so for any kind, table and callable ones
+    included, they are honest lower estimates of the supremum.
     """
-    d, s, sp = query.dim, query.s, query.s_prime
-    z1 = np.ones(d)
+    s, sp = query.s, query.s_prime
+    y_a, z1, r_a = lower_bound_witness(op, query)
+    out = [(r_a, y_a, z1)]
     x1 = op(z1)
-    sel = support_order(z1)[:s]
-    outside = [i for i in range(d) if i not in set(sel.tolist())]
-    out = []
-
-    def family(indices):
-        base = np.zeros(d)
-        base[indices] = 1.0
-        grid = np.logspace(-8.0, 4.0, 200)
-        scales = []
-        for _ in range(9):
-            k = int(np.argmax(_ratios(np.multiply.outer(grid, base), z1, x1)))
-            scales.append(grid[k])
-            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-            # np.geomspace(lo, hi, 201)'s arithmetic, without its overhead
-            grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), 201))
-            grid[0], grid[-1] = lo, hi
-        _collect(out, np.multiply.outer([scales[-1], scales[0]], base), z1, x1)
-
-    family(np.asarray(outside[:sp]))
-    family(sel[:sp])
-
-    # universal lower-bound witness
-    y3, z3, r3 = lower_bound_witness(op, query)
-    out.append((r3, y3, z3))
-
-    # divergence families: y near op(z) when it is reachable with s' nonzeros
-    eps = 10.0 ** -np.arange(1, 8)
-    if not np.any(x1):
-        # op maps all-ones to zero (continuous kinds): ratio 1/eps via y = eps e_0
-        _collect(out, np.multiply.outer(eps, np.eye(d)[0]), z1, x1)
-    if sp == s:
-        shrunk = z1 - x1
-        shrunk[outside] = 0.0
-        if np.any(shrunk):
-            _collect(out, x1 + np.multiply.outer(eps, shrunk), z1, x1)
-
-    # antipodal seeds: y = 0 against z and -z
-    for zc in (z1, -z1):
-        xc = op(zc)
-        if np.any(xc):
-            _collect(out, np.zeros((1, d)), zc, xc)
+    xb = float(x1[0])
+    k = (s - sp) * xb
+    if k > 0.0:
+        v = (k + math.sqrt(k * k + sp * k * xb)) / sp
+    else:
+        v = 1e-8 * (1.0 - xb)
+    y_b = np.zeros(query.dim)
+    y_b[:sp] = xb + v
+    _collect(out, y_b[None], z1, x1)
     return out
 
 
@@ -321,8 +290,9 @@ def empirical_concavity(
 ) -> ConcavityReport:
     """Numerically maximize the concavity ratio over (y, z) pairs.
 
-    Runs (a) the structured witness families (exact maximizers for the
-    built-in kinds) and (b) ``budget`` random restarts with batched
+    Runs (a) the two witness families at z = all-ones, each scored once at
+    its exact maximizer (``_structured_candidates``), and (b) ``budget``
+    random restarts with batched
     coordinatewise ascent over the entries of y (on its fixed s'-support)
     and z, with a step of 0.5 shrinking by 0.9 per full sweep.
     Deterministic given the seed; restarts are independent and merged by
@@ -331,12 +301,13 @@ def empirical_concavity(
 
     Every candidate is evaluated through the exact ratio, so the result can
     never exceed the true supremum; for hard / reciprocal / l_q kinds the
-    structured families attain the closed form to machine precision.
+    exact maximizers attain the closed form to within a few ulps, and where
+    it is +inf they report about 1e8.
 
     The restarts' s'-supports are drawn in one batch, as the first s'
     entries of a random permutation per row.  Earlier versions drew them
     one ``rng.choice`` per restart, so for the same seed the random
-    restarts, and any witness one of them wins over the structured
+    restarts, and any witness one of them wins over the witness
     families, differ from those versions.
     """
     d, s, sp = query.dim, query.s, query.s_prime

@@ -180,6 +180,16 @@ def generate_instance(spec: DesignSpec, s0: int, sigma: float, seed: int) -> Reg
     return RegressionInstance(X, theta0, sigma, y, s0, alpha, beta, block_alpha, block_beta)
 
 
+# Theorem 6's constant: the fits keep ceil(C kappa s0) entries, and the bound
+# is evaluated at the same C
+C = 3.0
+
+
+def fit_sparsity(kappa: float, s0: int, d: int) -> int:
+    """Theorem 6's fit sparsity, min(ceil(C kappa s0), d)."""
+    return min(int(math.ceil(C * kappa * s0)), d)
+
+
 def theorem6_bound_rhs(
     kappa: float,
     C: float,
@@ -217,7 +227,6 @@ def fit_iterative(
     rule: Optional[StepRule] = None,
     T: int = 100,
     kappa_hat: Optional[float] = None,
-    C: float = 3.0,
     delta: float = 0.05,
 ) -> tuple:
     """Iterative thresholding fit; returns (running-best iterate, report).
@@ -298,12 +307,11 @@ def condition_scaling_experiment(
     d: int = 80,
     s0: int = 4,
     sigma: float = 1.0,
-    C: float = 3.0,
     T: int = 150,
 ):
     """Mean prediction error per (kappa, operator) on spectrum-certified designs.
 
-    Uses s = min(ceil(C kappa s0), d); operators share each instance so the
+    Uses s = ``fit_sparsity(kappa, s0, d)``; operators share each instance so the
     comparison is paired.  Returns (rows, means) where rows are per-rep dicts
     ordered by (kappa, rep, operator) and means maps (kappa, op name) to the
     mean error, summed in fixed seed order.
@@ -312,7 +320,7 @@ def condition_scaling_experiment(
     sums = {}
     counts = {}
     for ki, kappa in enumerate(kappas):
-        s = min(int(math.ceil(C * kappa * s0)), d)
+        s = fit_sparsity(kappa, s0, d)
         spec = DesignSpec("correlated-gaussian", n, d, kappa=float(kappa))
         for rep in range(reps):
             inst_seed = seed + 100_000 * ki + rep

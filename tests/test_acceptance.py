@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every criterion asserts at its stated numeric tolerance and runtime.
 """
 
-import math
 import time
 
 import numpy as np
@@ -28,6 +27,7 @@ from threshlab.regression import (
     DesignSpec,
     condition_scaling_experiment,
     fit_iterative,
+    fit_sparsity,
     generate_instance,
     loglog_slope,
     validate_lemma10,
@@ -199,7 +199,7 @@ def test_criterion_9_theorem6_coverage():
     t0 = time.perf_counter()
     spec = DesignSpec("iid-gaussian", 200, 1000)
     kappa_hat = 1.0  # iid design convention
-    s = int(math.ceil(3.0 * kappa_hat * 5))
+    s = fit_sparsity(kappa_hat, 5, 1000)
     op = parse_operator("rt:0", s)
     violations = 0
     reps = 200

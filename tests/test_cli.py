@@ -43,6 +43,20 @@ def test_concavity_curve_schema_and_values(tmp_path):
         assert abs(float(r[3]) - float(r[2])) < 1e-12  # lq23 == rt universal
 
 
+def test_rho_grid_below_zero_in_equals_form(tmp_path, capsys):
+    # argparse reads "-0.5:..." as an option, so such a grid takes the
+    # --rho-grid=a:b:step spelling; the points outside (0, 1) are dropped
+    header, _, rows = run_csv(tmp_path, "concavity-curve --rho-grid=-0.5:0.5:0.1")
+    assert header["rho_grid"] == "-0.5:0.5:0.1"
+    rho = [float(r[0]) for r in rows]
+    assert rho == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
+    assert all(0.0 < r < 1.0 for r in rho)
+    with pytest.raises(SystemExit) as exc:
+        main(["concavity-curve", "--rho-grid", "-0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--rho-grid: expected one argument" in capsys.readouterr().err
+
+
 def test_csv_roundtrip_17_digits(tmp_path):
     out = tmp_path / "curve.csv"
     main(["concavity-curve", "--out", str(out), "--rho-grid", "0.1:0.9:0.1"])

@@ -26,6 +26,7 @@ from threshlab.operators import (
     ThresholdingOperator,
     hard_operator,
     lq_operator,
+    parse_operator,
     reciprocal_operator,
     soft_operator,
 )
@@ -258,6 +259,37 @@ class TestEmpiricalConcavity:
         for j in range(sp):
             freq = np.bincount(supports[:, j], minlength=d) / budget
             np.testing.assert_allclose(freq, 1.0 / d, atol=0.01)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "rt:0", "rt:0.5", "lq:0.4", "lq", "table"])
+    @pytest.mark.parametrize("s, s_prime", [(2, 1), (4, 1), (4, 2), (4, 4), (6, 3), (10, 9)])
+    def test_families_reach_their_supremum(self, kind, s, s_prime):
+        # at budget 0 only the two witness families at z = all-ones are
+        # scored; both depend on the operator only through xb = op(1)[0], so
+        # their supremum is the shrink-class closed form at sigma(1) = 1 - xb
+        # (hard's at xb = 1), and it diverges at xb = 0 or rho = 1
+        if kind == "table":
+            op = ThresholdingOperator(s, ShrinkageFunction.from_table([1.0, 3.0, 10.0], [0.45, 0.25, 0.1]))
+        else:
+            op = parse_operator(kind, s)
+        query = ConcavityQuery(s, s_prime)
+        report = empirical_concavity(op, query, budget=0)
+        xb = float(op(np.ones(query.dim))[0])
+        if xb == 1.0:
+            expect = gamma_hard(query.rho)
+        elif xb == 0.0 or s_prime == s:
+            expect = math.inf
+        else:
+            expect = gamma_shrink_class(query.rho, 1.0 - xb)
+        if math.isfinite(expect):
+            assert abs(report.empirical_max - expect) <= 4 * math.ulp(expect)
+            if report.closed_form is not None:
+                assert report.closed_form == pytest.approx(expect, rel=1e-14)
+        else:
+            assert report.empirical_max > 1e3
+            assert report.closed_form in (math.inf, None)
+        if (kind, s, s_prime) == ("hard", 4, 2):
+            # family A's scale t = 1/sqrt(rho), with no search error
+            assert report.witness_y[np.nonzero(report.witness_y)].tolist() == [math.sqrt(2.0)] * 2
 
     def test_custom_operator_lower_estimate(self):
         table = ShrinkageFunction.from_table([1.0, 2.0, 20.0], [0.4, 0.3, 0.05])

@@ -15,6 +15,7 @@ from threshlab.regression import (
     default_lasso_penalty,
     fit_iterative,
     fit_lasso_baseline,
+    fit_sparsity,
     generate_instance,
     loglog_slope,
     theorem6_bound_rhs,
@@ -202,6 +203,9 @@ class TestScalingExperiment:
             [8.0], [reciprocal_operator(1, 0.0)], reps=1, seed=0, n=60, d=20, s0=4, T=10
         )
         assert rows[0]["s"] == 20  # ceil(3*8*4) = 96 capped at d
+        assert fit_sparsity(8.0, 4, 20) == 20
+        assert fit_sparsity(1.0, 5, 1000) == 15
+        assert fit_sparsity(1.2, 4, 80) == 15  # ceil(14.4)
 
     def test_well_conditioned_operators_comparable(self):
         # kappa = 1: hard and reciprocal land within a factor of two of each other
@@ -247,7 +251,7 @@ class TestAdversarialBlockDirection:
         # directional Monte Carlo: on block instances hard thresholding's mean
         # prediction error is no better than reciprocal thresholding's
         kappa, s0, n, d = 4.0, 4, 300, 150
-        s = int(math.ceil(3 * kappa * s0))
+        s = fit_sparsity(kappa, s0, d)
         spec = DesignSpec("adversarial-block", n, d, kappa=kappa, block_size=8)
         hard_errs, rt_errs = [], []
         for rep in range(25):
