@@ -17,10 +17,13 @@ to float error.  In the underdetermined regime only the adversarial block is
 certified; iid designs there follow the usual random-design heuristic with
 kappa taken as 1.
 
-The loss's Hessian is X'X/n.  When d > n it stays factored as a ``Gram``
-(applied as X'(X v)/n), since the d x d matrix would be larger than X.  When
-d <= n it is formed densely: it is then no larger than X, and a product with
-it costs d^2 multiply-adds against the Gram's 2nd.
+The loss's Hessian is X'X/n.  When d > n it stays factored as a ``Gram``,
+since the d x d matrix would be larger than X; a product with it costs k d
+multiply-adds, where k <= n counts the rows of X'X/n cached for the sparse
+iterates so far, and 2nd for a vector that would push k past n.  When d <= n
+it is formed densely: it is then no larger than X, and a product with it
+costs d^2 multiply-adds.  An instance builds its objective once, so every fit
+of the instance shares g, the Hessian and its cached rows.
 """
 
 from __future__ import annotations
@@ -82,8 +85,13 @@ class DesignSpec:
                 raise InfeasibleSpecError("block size must be even and fit in (n, d)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegressionInstance:
+    """A design X, its planted theta0 and response y, and the certified
+    bounds of X'X/n.  Frozen, with X, theta0 and y made read-only, so the
+    objective built on the first ``objective()`` call cannot go stale; use
+    ``dataclasses.replace`` for an instance with other data."""
+
     X: np.ndarray
     theta0: np.ndarray
     sigma: float
@@ -93,6 +101,13 @@ class RegressionInstance:
     beta: float  # certified upper Gram bound
     block_alpha: Optional[float] = None
     block_beta: Optional[float] = None
+    _objective: Optional[QuadraticObjective] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        for a in (self.X, self.theta0, self.y):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -106,12 +121,16 @@ class RegressionInstance:
         """f(theta) = ||y - X theta||^2 / (2n), up to the constant ||y||^2/2n.
 
         The Hessian X'X/n is a factored ``Gram`` when d > n, dense otherwise.
+        Built on the first call; every later call returns the same object.
         """
-        H = self.X.T @ self.X / self.n if self.d <= self.n else Gram(self.X)
-        g = -self.X.T @ self.y / self.n
-        return QuadraticObjective(
-            H, m=np.zeros(self.d), g=g, alpha=self.alpha, beta=self.beta, validate=False
-        )
+        if self._objective is None:
+            H = self.X.T @ self.X / self.n if self.d <= self.n else Gram(self.X)
+            g = -self.X.T @ self.y / self.n
+            obj = QuadraticObjective(
+                H, m=np.zeros(self.d), g=g, alpha=self.alpha, beta=self.beta, validate=False
+            )
+            object.__setattr__(self, "_objective", obj)
+        return self._objective
 
     def prediction_error(self, theta) -> float:
         diff = self.X @ (np.asarray(theta, dtype=float) - self.theta0)

@@ -9,10 +9,14 @@ convergence guarantee consumes.
 An iterate may have any shape: a matrix objective is the vector objective
 over its d flattened entries (vec(X), with Frobenius geometry), so the
 vector, prox and lifted-matrix solvers share one quadratic type.  The
-Hessian is a dense d x d array, or a ``Gram`` that applies X'X/n as
-X' (X v) / n from the n x d factor X, so a regression objective with d > n
-never forms the d x d matrix.  The solver asks for f and its gradient
-together (``value_and_grad``), one Hessian product per evaluated point.
+Hessian is a dense d x d array, or a ``Gram`` that applies X'X/n from the
+n x d factor X, so a regression objective with d > n never forms the d x d
+matrix.  A ``Gram`` keeps the rows of X'X/n that its products have touched,
+at most n of them: a product with a vector supported on k cached rows costs
+k d multiply-adds instead of the 2nd of X' (X v) / n, which is what the
+sparse iterates of a thresholding or lasso fit need.  The solver asks for f
+and its gradient together (``value_and_grad``), one Hessian product per
+evaluated point.
 
 Step sizes: fixed eta = 1/beta, or backtracking from a large initial step,
 halving until the curvature condition
@@ -49,15 +53,30 @@ class SpectrumCertificationError(ValueError):
 _CERT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class Gram:
     """The Gram matrix X'X/n of an n x d matrix X, kept factored.
 
-    ``H @ v`` costs two thin matrix-vector products instead of one d x d
-    product, and no d x d array is ever formed.
+    No d x d array is ever formed.  ``H @ v`` for a 1-D v sums v's nonzeros
+    times their rows of X'X/n, which the Gram keeps once computed: the
+    product is ``w @ rows`` over the k cached rows, with v's nonzeros
+    scattered into w, k d multiply-adds.  The rows v needs but lacks are
+    computed first, in one product ``X[:, new]' X / n``.  The cache holds at
+    most n rows, so it is never larger than X, and a product over k <= n
+    rows costs at most half of the factored ``X' (X v) / n`` (2nd).  A v
+    whose support would push the cache past n rows, or that is not 1-D,
+    takes the factored product and leaves the cache as it is.
+
+    A product fills the cache, so a ``Gram`` is not safe to share across
+    threads.  The last bits of a product depend on which rows earlier
+    products cached; the same sequence of products gives the same bits.
     """
 
-    X: np.ndarray
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        d = X.shape[1]
+        # the cached rows of X'X/n, and each column's row in it (-1 for none)
+        self._rows = np.empty((0, d))
+        self._slot = np.full(d, -1)
 
     @property
     def shape(self) -> tuple:
@@ -70,7 +89,19 @@ class Gram:
         return self.X.nbytes
 
     def __matmul__(self, v):
-        return self.X.T @ (self.X @ v) / self.X.shape[0]
+        n = self.X.shape[0]
+        if np.ndim(v) == 1:
+            nz = np.flatnonzero(v)
+            new = nz[self._slot[nz] < 0]
+            k = len(self._rows)
+            if k + new.size <= n:
+                if new.size:
+                    self._rows = np.concatenate([self._rows, self.X[:, new].T @ self.X / n])
+                    self._slot[new] = np.arange(k, len(self._rows))
+                w = np.zeros(len(self._rows))
+                w[self._slot[nz]] = v[nz]
+                return w @ self._rows
+        return self.X.T @ (self.X @ v) / n
 
     def eig_range(self) -> tuple:
         """(smallest, largest) eigenvalue of X'X/n, from ``eigvalsh`` of the

@@ -295,6 +295,12 @@ def _regression_gradient(seed: int) -> tuple:
         theta = np.random.default_rng(seed + 1).standard_normal(d)
         ok, detail = check_regression_objective(inst.objective(), inst.X, inst.y, theta)
         results.append((ok, f"(n, d) = ({n}, {d}): {detail}"))
+        if d > n:
+            # a dense theta takes the factored product; one with n nonzeros,
+            # the Gram's cached rows
+            theta[n:] = 0.0
+            ok, detail = check_regression_objective(inst.objective(), inst.X, inst.y, theta)
+            results.append((ok, f"(n, d) = ({n}, {d}), {n} nonzeros: {detail}"))
     return _first_failure(results, "dense (40, 15) and factored (15, 40) match the normal equations")
 
 

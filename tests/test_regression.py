@@ -1,5 +1,6 @@
 """Regression harness tests: generation, certification, fits, Monte Carlo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +108,16 @@ class TestGenerateInstance:
         tall = generate_instance(DesignSpec("iid-gaussian", 60, 25), 3, 1.0, seed=6)
         assert tall.objective().H.shape == (25, 25)
 
+    def test_objective_built_once_over_read_only_data(self):
+        inst = generate_instance(DesignSpec("iid-gaussian", 50, 400), 5, 1.0, seed=13)
+        assert inst.objective() is inst.objective()
+        for a in (inst.X, inst.theta0, inst.y):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        other = dataclasses.replace(inst, y=inst.y + 1.0)
+        assert other.objective() is not inst.objective()
+        assert not np.array_equal(other.objective().g, inst.objective().g)
+
 
 class TestFitIterative:
     def test_orthogonal_noiseless_one_step(self):
@@ -118,9 +129,10 @@ class TestFitIterative:
         theta0 = np.zeros(d)
         theta0[:s0] = [1.0, -1.0, 1.0]
         spec = DesignSpec("iid-gaussian", n, d)
-        inst = generate_instance(spec, s0, 0.0, seed=9)
-        inst.X, inst.theta0, inst.y = X, theta0, X @ theta0
-        inst.alpha = inst.beta = 1.0
+        inst = dataclasses.replace(
+            generate_instance(spec, s0, 0.0, seed=9),
+            X=X, theta0=theta0, y=X @ theta0, alpha=1.0, beta=1.0,
+        )
         theta_hat, report = fit_iterative(inst, hard_operator(s0), s0, T=1)
         np.testing.assert_allclose(theta_hat, theta0, atol=1e-12)
         assert report.prediction_error <= 1e-20

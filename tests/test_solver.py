@@ -15,6 +15,7 @@ from threshlab.operators import (
     prox_l1,
     reciprocal_operator,
 )
+from threshlab.regression import DesignSpec, fit_iterative, fit_lasso_baseline, generate_instance
 from threshlab.solver import (
     ContractViolationError,
     Gram,
@@ -189,12 +190,57 @@ class TestGram:
         lo, hi = Gram(X).eig_range()
         dense = QuadraticObjective(X.T @ X / n, m, g, lo, hi)
         factored = QuadraticObjective(Gram(X), m, g, lo, hi)
-        for _ in range(3):
-            x = rng.standard_normal(d)
+        # dense points, then points 5 entries away from m: x - m is sparse, so
+        # the Gram applies it from its cached rows
+        sparse = np.tile(m, (3, 1))
+        dense_points = rng.standard_normal((3, d))
+        for row in sparse:
+            row[rng.choice(d, 5, replace=False)] += rng.standard_normal(5)
+        for x in [*dense_points, *sparse]:
             f_d, g_d = dense.value_and_grad(x)
             f_f, g_f = factored.value_and_grad(x)
             assert abs(f_f - f_d) <= 1e-12 * abs(f_d)
             assert np.max(np.abs(g_f - g_d)) <= 1e-12 * np.max(np.abs(g_d))
+
+    def test_zero_vector_gives_exact_zeros(self):
+        X = np.random.default_rng(5).standard_normal((30, 80))
+        G = Gram(X)
+        zero = np.zeros(80)
+        assert np.array_equal(G @ zero, zero)
+        G @ np.eye(80)[3]  # one cached row, which a zero weight must cancel
+        assert np.array_equal(G @ zero, zero)
+
+    def test_support_beyond_n_takes_the_factored_product(self):
+        rng = np.random.default_rng(6)
+        n, d = 30, 80
+        X = rng.standard_normal((n, d))
+        G = Gram(X)
+        v = rng.standard_normal(d)
+        assert (G @ v).tobytes() == (X.T @ (X @ v) / n).tobytes()
+        # 20 cached rows leave room for 10 more: 11 new columns overflow it
+        G @ np.where(np.arange(d) < 20, v, 0.0)
+        w = np.where(np.arange(d) < 31, v, 0.0)
+        assert (G @ w).tobytes() == (X.T @ (X @ w) / n).tobytes()
+        assert len(G._rows) == 20
+
+    def test_cache_never_outgrows_x(self):
+        inst = generate_instance(DesignSpec("iid-gaussian", 200, 1000), 5, 1.0, seed=15)
+        fit_lasso_baseline(inst)
+        H = inst.objective().H
+        assert 0 < len(H._rows) <= inst.n
+        assert H._rows.nbytes <= inst.X.nbytes
+
+    def test_fresh_instances_of_one_seed_fit_identically(self):
+        spec = DesignSpec("iid-gaussian", 200, 1000)
+        fits = []
+        for _ in range(2):
+            inst = generate_instance(spec, 5, 1.0, seed=16)
+            _, rt = fit_iterative(inst, reciprocal_operator(15, 0.0), 15, T=50)
+            _, lasso = fit_lasso_baseline(inst)
+            fits.append((rt.trace, lasso.trace))
+        for a, b in zip(*fits):
+            for name in ("xs", "etas", "fs", "backtracks"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("n, d", [(30, 80), (80, 30)])
     def test_eig_range_certifies_the_gram(self, n, d):
