@@ -56,32 +56,31 @@ def build_trap(
     query: ConcavityQuery,
     alpha: float,
     beta: float,
-    budget: int = 400,
     seed: int = 0,
 ) -> TrapInstance:
     """Stationary-trap instance for (op, query) at condition number beta/alpha.
 
-    The witness must have ratio above 1/(2 kappa) + 1e-6.  The exact witness
-    families of the concavity search (``empirical_concavity`` at budget 0)
-    are scored first; they attain the supremum for the built-in kinds.  Only
-    when they fall short does the full search run, with ``budget`` seeded
-    random restarts, so ``seed`` and ``budget`` matter only then.  If that
-    search falls short too, ConcavityTooSmallError is raised.
+    The witness is the better of the two exact witness families of the
+    concavity search (``empirical_concavity`` at budget 0), which attain the
+    supremum for the built-in kinds; random restarts never beat them.  When
+    its ratio is not above 1/(2 kappa) + 1e-6, ConcavityTooSmallError is
+    raised.  ``seed`` is ignored; it stays only because the benchmark's trap
+    workload passes it.
 
     The built objective has f(x0) = 0 exactly and f(y) < 0 strictly; one
     thresholded gradient step at eta = 1/beta maps x0 back to itself.
     Stationarity is bit-exact whenever the float chain
     x0 + (1/beta)(beta (z - x0)) reproduces z, which holds for the all-ones
-    witness families with beta a power of two; the instance records whether
-    that verification passed.
+    witness families with beta a power of two.  Otherwise up to five rounds
+    re-derive z through the solver's own float chain, each kept only while
+    its ratio stays above the threshold; the instance records whether the
+    verification passed.
     """
     if not 0 < alpha <= beta:
         raise InvalidParameterError("need 0 < alpha <= beta")
     kappa = beta / alpha
     threshold = 1.0 / (2.0 * kappa) + 1e-6
-    report = empirical_concavity(op, query, budget=0, seed=seed)
-    if report.empirical_max <= threshold:
-        report = empirical_concavity(op, query, budget=budget, seed=seed)
+    report = empirical_concavity(op, query, budget=0)
     if report.empirical_max <= threshold:
         raise ConcavityTooSmallError(
             f"best ratio {report.empirical_max:.6g} <= 1/(2 kappa) + 1e-6"
@@ -92,22 +91,17 @@ def build_trap(
     x = op(z)
     obj = _trap_objective(x, y, z, alpha, beta)
 
-    # verify bit-exact stationarity, re-deriving z through the solver's own
-    # float chain if needed
     exact = False
     for _ in range(5):
         z_step = x - (1.0 / beta) * obj.grad(x)
-        if np.array_equal(op(z_step), x):
+        x_step = op(z_step)
+        if np.array_equal(x_step, x):
             exact = True
             break
-        z = z_step
-        x = op(z)
-        ratio = float(_ratios(y, z, x))
-        if ratio == -math.inf:  # y == x: keep the previous gamma_hat
+        ratio = float(_ratios(y, z_step, x_step))
+        if not ratio > threshold:  # -inf where y == x_step
             break
-        gamma_hat = ratio
-        if gamma_hat <= threshold:
-            break
+        z, x, gamma_hat = z_step, x_step, ratio
         obj = _trap_objective(x, y, z, alpha, beta)
     return TrapInstance(obj, x.copy(), y, z, gamma_hat, exact)
 

@@ -133,9 +133,9 @@ def cmd_trap(args) -> int:
     query = ConcavityQuery(s, s_prime)
     op = parse_operator(args.operator, s)
     alpha, beta = 1.0 / _checked_kappa(args.kappa), 1.0
-    config = _config(args, "operator", "kappa", "rho", "sparsity", "iters", "seed", s_prime=s_prime)
+    config = _config(args, "operator", "kappa", "rho", "sparsity", "iters", s_prime=s_prime)
     try:
-        trap = build_trap(op, query, alpha, beta, seed=args.seed)
+        trap = build_trap(op, query, alpha, beta)
     except ConcavityTooSmallError:
         print(f"no trap: gamma <= 1/(2 kappa) for {args.operator} at kappa={args.kappa}")
         write_csv(

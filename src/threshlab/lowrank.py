@@ -97,10 +97,11 @@ def empirical_matrix_concavity(
 ) -> ConcavityReport:
     """Empirical maximization of the matrix concavity ratio.
 
-    Seeds the search with the diagonal embedding of the vector search's
-    witness (which attains the vector supremum; by the lifting equality the
-    matrix supremum is the same), then random rank-s' factor pairs refined
-    by batched coordinate ascent.
+    Seeds the search with the diagonal embedding of the better exact vector
+    witness family (``empirical_concavity`` at budget 0, which attains the
+    vector supremum; by the lifting equality the matrix supremum is the
+    same), then ``budget`` (at most 200) seeded random rank-s' factor pairs
+    refined by batched coordinate ascent.
     """
     n, m, s, sp = query.n, query.m, query.s, query.s_prime
     if lifted.base.s != s:
@@ -114,10 +115,9 @@ def empirical_matrix_concavity(
         b = Z.shape[0]
         return _ratios(Y.reshape(b, -1), Z.reshape(b, -1), X.reshape(b, -1))
 
-    # diagonal embeddings of the vector search (vector witnesses transfer
+    # diagonal embedding of the vector witness (vector witnesses transfer
     # exactly: svd of a padded identity-like diagonal is the identity)
-    vec_query = ConcavityQuery(s, sp, d=p)
-    vec_report = empirical_concavity(lifted.base, vec_query, budget=budget, seed=seed)
+    vec_report = empirical_concavity(lifted.base, ConcavityQuery(s, sp, d=p), budget=0)
     Z_vec = embed_diag(vec_report.witness_z, n, m)
     _collect(candidates, embed_diag(vec_report.witness_y, n, m)[None], Z_vec, lifted(Z_vec))
 
@@ -205,11 +205,10 @@ def build_matrix_trap(
     query: ConcavityQuery,
     alpha: float,
     beta: float,
-    budget: int = 400,
-    seed: int = 0,
 ):
-    """Diagonal embedding of the vector stationary trap (square p x p case)."""
-    trap = build_trap(op, query, alpha, beta, budget=budget, seed=seed)
+    """Diagonal embedding of the vector stationary trap (square p x p case),
+    built from the same exact witness families as ``build_trap``."""
+    trap = build_trap(op, query, alpha, beta)
     p = trap.x0.shape[0]
     X0 = embed_diag(trap.x0, p, p)
     Y = embed_diag(trap.y, p, p)

@@ -249,7 +249,7 @@ def _solver_guarantee(seed: int) -> tuple:
 
 def _traps(seed: int) -> tuple:
     op = hard_operator(2)
-    trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=seed)
+    trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0)
     inst = build_prox_trap(3, np.asarray([1.0, -0.7, 1.3]))
     grid = default_prox_lambda_grid(inst, interior=25)
     results = [check_trap(trap.objective, op, trap.x0, trap.y, 20), check_prox_sweep(inst, grid)]

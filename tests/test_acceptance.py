@@ -130,7 +130,7 @@ def test_criterion_5_theorem2_trap():
     ok = True
     for name, kappa, s, sp in cases:
         op = parse_operator(name, s)
-        trap = build_trap(op, ConcavityQuery(s, sp), 1.0 / kappa, 1.0, seed=0)
+        trap = build_trap(op, ConcavityQuery(s, sp), 1.0 / kappa, 1.0)
         ok &= check_trap(trap.objective, op, trap.x0, trap.y, 100)[0]
     elapsed = time.perf_counter() - t0
     assert _report(5, ok and elapsed < 5.0, "3 traps: f(x0)=0, f(y)<-1e-10, 100 exact iters", elapsed, 5)

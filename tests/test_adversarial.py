@@ -14,7 +14,10 @@ from threshlab.adversarial import (
 from threshlab.concavity import ConcavityQuery
 from threshlab.operators import (
     InvalidParameterError,
+    ShrinkageFunction,
+    ThresholdingOperator,
     hard_operator,
+    parse_operator,
     reciprocal_operator,
     soft_operator,
 )
@@ -25,21 +28,21 @@ from threshlab.validate import check_prox_sweep, check_trap
 class TestBuildTrap:
     def test_hard_kappa_15(self):
         kappa = 1.5
-        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / kappa, 1.0, seed=0)
+        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / kappa, 1.0)
         assert trap.gamma_hat > 1.0 / (2.0 * kappa)
         ok, detail = check_trap(trap.objective, hard_operator(2), trap.x0, trap.y, 100)
         assert ok, detail
         assert trap.objective.value(trap.y) < trap.objective.value(trap.x0)
 
     def test_soft_kappa_one(self):
-        trap = build_trap(soft_operator(2), ConcavityQuery(2, 2), 1.0, 1.0, seed=0)
+        trap = build_trap(soft_operator(2), ConcavityQuery(2, 2), 1.0, 1.0)
         ok, detail = check_trap(trap.objective, soft_operator(2), trap.x0, trap.y, 100)
         assert ok, detail
 
     def test_reciprocal_high_rho(self):
         kappa = 5.0
         trap = build_trap(
-            reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), 1.0 / kappa, 1.0, seed=0
+            reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), 1.0 / kappa, 1.0
         )
         assert trap.gamma_hat > 1.0 / (2 * kappa)
         ok, detail = check_trap(trap.objective, reciprocal_operator(10, 0.0), trap.x0, trap.y, 100)
@@ -50,11 +53,11 @@ class TestBuildTrap:
         kappa = 1.2
         with pytest.raises(ConcavityTooSmallError):
             build_trap(
-                reciprocal_operator(4, 0.25), ConcavityQuery(4, 1), 1.0 / kappa, 1.0, seed=0
+                reciprocal_operator(4, 0.25), ConcavityQuery(4, 1), 1.0 / kappa, 1.0
             )
 
     def test_spectrum_inside_declared_bounds(self):
-        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 0.5, 1.0, seed=1)
+        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 0.5, 1.0)
         eigs = np.linalg.eigvalsh(trap.objective.H)
         assert eigs[0] >= 0.5 - 1e-9
         assert eigs[-1] <= 1.0 + 1e-9
@@ -64,7 +67,7 @@ class TestBuildTrap:
         # with u1 = (y - x0)/||y - x0|| as the alpha eigenvector
         alpha, beta = 0.25, 1.0
         trap = build_trap(
-            reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), alpha, beta, seed=0
+            reciprocal_operator(10, 0.0), ConcavityQuery(10, 9), alpha, beta
         )
         H = trap.objective.H
         u1 = (trap.y - trap.x0) / np.linalg.norm(trap.y - trap.x0)
@@ -77,7 +80,7 @@ class TestBuildTrap:
         # f(y) = -beta ||y-x||^2 (gamma_hat - 1/(2 kappa)) exactly along the
         # soft eigendirection
         kappa = 1.5
-        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / kappa, 1.0, seed=0)
+        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / kappa, 1.0)
         dist_sq = float(np.sum((trap.y - trap.x0) ** 2))
         expect = -1.0 * dist_sq * (trap.gamma_hat - (1.0 / kappa) / 2.0)
         assert abs(trap.objective.value(trap.y) - expect) < 1e-9
@@ -86,9 +89,10 @@ class TestBuildTrap:
         with pytest.raises(InvalidParameterError):
             build_trap(hard_operator(2), ConcavityQuery(2, 2), -1.0, 1.0)
 
-    def test_families_first_then_full_search(self, monkeypatch):
-        # the exact families (budget 0) decide when they clear 1/(2 kappa);
-        # the seeded restart search runs only when they fall short
+    def test_families_only(self, monkeypatch):
+        # the exact witness families (budget 0) are scored once, whether or
+        # not they clear 1/(2 kappa); no restart search follows, and the
+        # seed changes nothing
         budgets = []
 
         def recording(op, query, budget=1000, seed=0):
@@ -97,14 +101,42 @@ class TestBuildTrap:
 
         # build_trap resolves the name in its own module
         monkeypatch.setattr(adversarial, "empirical_concavity", recording)
-        build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=0)
+        trap = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0)
         assert budgets == [0]
+        seeded = build_trap(hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=7)
+        assert np.array_equal(seeded.objective.H, trap.objective.H)
+        assert np.array_equal(seeded.x0, trap.x0) and seeded.gamma_hat == trap.gamma_hat
         budgets.clear()
         with pytest.raises(ConcavityTooSmallError):
-            build_trap(
-                reciprocal_operator(4, 0.25), ConcavityQuery(4, 1), 1.0 / 1.2, 1.0, seed=0
-            )
-        assert budgets == [0, 400]
+            build_trap(reciprocal_operator(4, 0.25), ConcavityQuery(4, 1), 1.0 / 1.2, 1.0)
+        assert budgets == [0]
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "rt:0", "rt:0.5", "rt:1", "lq:0.4", "lq:0.9", "table"])
+    def test_restarts_never_beat_the_families(self, kind):
+        # the premise of a trap built from the families alone: 400 seeded
+        # restarts find no ratio above the families' (200 ascent steps of
+        # the default 500 keep the 40 searches to about 2 s)
+        for s, s_prime in [(2, 1), (2, 2), (4, 2), (6, 3), (10, 9)]:
+            if kind == "table":
+                table = ShrinkageFunction.from_table([1.0, 3.0, 10.0], [0.45, 0.25, 0.1])
+                op = ThresholdingOperator(s, table)
+            else:
+                op = parse_operator(kind, s)
+            query = ConcavityQuery(s, s_prime)
+            families = concavity.empirical_concavity(op, query, budget=0).empirical_max
+            full = concavity.empirical_concavity(op, query, budget=400, seed=0, ascent_steps=200)
+            assert full.empirical_max <= families, (s, s_prime)
+
+    def test_repair_round_below_threshold_is_not_kept(self):
+        # the witness's float chain does not reproduce z, and the repaired
+        # ratio falls to the threshold; the trap keeps the round before it,
+        # so f(x0) is still exactly zero
+        op = parse_operator("lq:0.9", 2)
+        alpha = beta = 0.7
+        trap = build_trap(op, ConcavityQuery(2, 2), alpha, beta)
+        assert trap.objective.value(trap.x0) == 0.0
+        assert trap.gamma_hat > 1.0 / (2.0 * beta / alpha) + 1e-6
+        assert not trap.exact_stationary
 
 
 class TestBuildProxTrap:

@@ -122,6 +122,18 @@ def test_trap_found_and_not_found(tmp_path, capsys):
     assert "no trap" in captured.out
 
 
+def test_trap_readme_line_ignores_seed(tmp_path):
+    # the trap uses only the exact witness families, so its header records
+    # no seed and --seed 7 writes the same bytes as the default
+    line = "trap --operator hard --kappa 1.5 --rho 1.0 --sparsity 2"
+    header, columns, rows = run_csv(tmp_path, line, "trap.csv")
+    assert "seed" not in header
+    assert columns == ["trap_found", "gamma_hat", "f_x0", "f_y", "iters", "stationary"]
+    assert rows == [["1", "0.5", "0", "-0.66666666666666696", "100", "1"]]
+    run_csv(tmp_path, f"{line} --seed 7", "trap7.csv")
+    assert (tmp_path / "trap7.csv").read_bytes() == (tmp_path / "trap.csv").read_bytes()
+
+
 def test_prox_trap_disjunction(tmp_path):
     _, columns, rows = run_csv(tmp_path, "prox-trap --dim 2")
     j = columns.index("disjunct_holds")

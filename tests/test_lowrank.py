@@ -259,7 +259,7 @@ class TestMatrixSolver:
 class TestMatrixTrap:
     def test_embedded_trap_stationary(self):
         obj, X0, Y, Z, gamma_hat = build_matrix_trap(
-            hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=0
+            hard_operator(2), ConcavityQuery(2, 2), 1.0 / 1.5, 1.0
         )
         ok, detail = check_trap(obj, LiftedOperator(hard_operator(2)), X0, Y, 30)
         assert ok, detail

@@ -80,7 +80,7 @@ def test_bound_runs_reject_a_gamma_the_operator_cannot_meet():
 
 def test_trap_rejects_a_start_point_moved_by_one_ulp():
     op = hard_operator(2)
-    trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0, seed=0)
+    trap = build_trap(op, ConcavityQuery(2, 2), 1.0 / 1.5, 1.0)
     assert check_trap(trap.objective, op, trap.x0, trap.y, 20)[0]
     moved = trap.x0.copy()
     k = int(np.flatnonzero(moved)[0])
