@@ -79,9 +79,13 @@ def _checked_kappa(kappa: float) -> float:
     return kappa
 
 
-def _config(args, *keys, **extra) -> dict:
-    """The header of a command's CSV: its name, the arguments ``keys`` and ``extra``."""
-    return {"command": args.command, **{k: getattr(args, k) for k in keys}, **extra}
+def _config(args, *ignored, **extra) -> dict:
+    """The header of a command's CSV, read from the parsed command line: the
+    command's name and every flag but ``--out``, ``--config`` and those the
+    command ``ignored``, then ``extra``: derived values, and flags the
+    command resolves further."""
+    skip = {"func", "out", "config", *ignored}
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **extra}
 
 
 def cmd_concavity_curve(args) -> int:
@@ -91,7 +95,7 @@ def cmd_concavity_curve(args) -> int:
     columns = ["rho", "gamma_optimal", "gamma_rt_universal", "gamma_lq23", "gamma_hard"]
     columns += ["kappa_max_optimal", "kappa_max_rt", "kappa_max_hard"]
     rows = zip(rho, g_opt, g_rt, g_lq, g_hard, *kappas)
-    write_csv(args.out, _config(args, "rho_grid"), columns, rows)
+    write_csv(args.out, _config(args, "seed"), columns, rows)
     return 0
 
 
@@ -102,7 +106,7 @@ def cmd_converge(args) -> int:
         args.dim, alpha, beta, rng, linear_scale=0.5
     )
     op = parse_operator(args.operator, args.sparsity)
-    config = _config(args, "dim", "sparsity", "s_prime", "kappa", "operator", "step", "iters", "seed")
+    config = _config(args)
     rho = args.s_prime / args.sparsity
     gamma = conc.closed_form_gamma(op, rho)
     with_bound = (
@@ -133,7 +137,7 @@ def cmd_trap(args) -> int:
     query = ConcavityQuery(s, s_prime)
     op = parse_operator(args.operator, s)
     alpha, beta = 1.0 / _checked_kappa(args.kappa), 1.0
-    config = _config(args, "operator", "kappa", "rho", "sparsity", "iters", s_prime=s_prime)
+    config = _config(args, "seed", s_prime=s_prime)
     try:
         trap = build_trap(op, query, alpha, beta)
     except ConcavityTooSmallError:
@@ -163,7 +167,7 @@ def cmd_prox_trap(args) -> int:
     instance = build_prox_trap(args.dim, v)
     grid = default_prox_lambda_grid(instance)
     records = sweep_prox_path(instance, grid)
-    config = _config(args, "dim", "seed", c=instance.c)
+    config = _config(args, c=instance.c)
     columns = ["lambda", "nnz", "f_value", "dense", "f_exceeds_f_y", "disjunct_holds"]
     rows = [
         [r.lam, r.nnz, r.f_value, int(r.dense), int(r.beats_trap), int(r.disjunct_holds)]
@@ -180,20 +184,20 @@ def cmd_prox_trap(args) -> int:
 
 def cmd_regress(args) -> int:
     kappa = _checked_kappa(args.kappa)
-    iid = args.design == "iid-gaussian"
+    iid, block = args.design == "iid-gaussian", args.design == "adversarial-block"
     spec = reg.DesignSpec(
         kind=args.design,
         n=args.n,
         d=args.d,
         kappa=None if iid else kappa,
-        block_size=args.block_size if args.design == "adversarial-block" else None,
+        block_size=args.block_size if block else None,
     )
     # an iid design is fitted with kappa 1 whatever --kappa says; the header
     # records the kappa the fits use
     kappa_hat = 1.0 if iid else kappa
     s = reg.fit_sparsity(kappa_hat, args.s0, args.d)
     config = _config(
-        args, "design", "n", "d", "s0", "sigma", "delta", "reps", "seed", kappa=kappa_hat,
+        args, *([] if block else ["block_size"]), kappa=kappa_hat,
         operators="+".join(args.operators), with_lasso=int(args.with_lasso), s=s,
     )
     columns = ["seed", "operator", "prediction_error", "bound_rhs", "violated", "nnz", "iterations"]
@@ -226,7 +230,7 @@ def cmd_lowrank_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     base = parse_operator(args.operator, args.rank)
     lifted = LiftedOperator(base)
-    config = _config(args, "n", "m", "rank", "rank_prime", "operator", "kappa", "iters", "seed")
+    config = _config(args)
     # one exact step recovers an exact-rank target
     A = rng.standard_normal((args.n, args.rank)) @ rng.standard_normal((args.rank, args.m))
     one_step = lifted(A)
@@ -259,7 +263,7 @@ def cmd_validate(args) -> int:
     if args.out:
         write_csv(
             args.out,
-            _config(args, "seed"),
+            _config(args),
             ["check", "passed", "detail"],
             [[name, int(ok), detail.replace(",", ";")] for name, ok, detail in results],
         )

@@ -39,14 +39,14 @@ class LiftedOperator:
     """Rank-s thresholding operator obtained by lifting a vector operator.
 
     Accepts one matrix or a stack of shape ``(..., n, m)``; each matrix is
-    lifted on its own.
+    lifted on its own.  An input with fewer than two axes, or with a NaN or
+    infinite entry, raises InvalidParameterError before any SVD.
     """
 
     base: ThresholdingOperator
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
+        U, sv, Vt = np.linalg.svd(_matrix_input(Z), full_matrices=False)
         return (U * self.base(sv)[..., None, :]) @ Vt
 
     @property
@@ -54,8 +54,20 @@ class LiftedOperator:
         return self.base.s
 
 
+def _matrix_input(Z) -> np.ndarray:
+    """Z as floats, checked before any SVD: an input with fewer than two
+    axes, or with a NaN or infinite entry, raises InvalidParameterError, as
+    the vector operators refuse a 0-d or non-finite input."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim < 2:
+        raise InvalidParameterError("matrix input must have at least two axes")
+    if not np.isfinite(Z).all():
+        raise InvalidParameterError("matrix input has a NaN or infinite entry")
+    return Z
+
+
 def numerical_rank(X: np.ndarray) -> int:
-    sv = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
+    sv = np.linalg.svd(_matrix_input(X), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > RANK_EPS * sv[0]))
@@ -193,10 +205,8 @@ def iterate_threshold_matrix(
     T: int = 100,
 ) -> IterateTrace:
     """Matrix analogue of iterate_threshold with Frobenius geometry."""
-    if numerical_rank(np.asarray(X0, dtype=float)) > lifted.s:
+    if numerical_rank(X0) > lifted.s:
         raise InvalidParameterError("X0 must have rank <= s")
-    if T < 1:
-        raise InvalidParameterError("T must be >= 1")
     return _run(obj, lambda V, etas: lifted(V), X0, rule, T)
 
 

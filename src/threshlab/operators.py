@@ -360,15 +360,22 @@ def lq_operator(s: int, q: float) -> ThresholdingOperator:
 
 
 def parse_operator(spec: str, s: int) -> ThresholdingOperator:
-    """Build an operator from a CLI-style spec: hard | soft | rt[:c] | lq[:q]."""
-    name, _, arg = spec.partition(":")
+    """Build an operator from a CLI-style spec: hard | soft | rt[:c] | lq[:q].
+
+    A parameter given to hard or soft, or one that is not a number, raises
+    InvalidParameterError naming the spec."""
+    name, colon, arg = spec.partition(":")
     name = name.strip().lower()
-    if name == "hard":
-        return hard_operator(s)
-    if name == "soft":
-        return soft_operator(s)
-    if name == "rt":
-        return reciprocal_operator(s, float(arg) if arg else 0.0)
-    if name == "lq":
-        return lq_operator(s, float(arg) if arg else 2.0 / 3.0)
+    if name in ("hard", "soft"):
+        if colon:
+            raise InvalidParameterError(f"operator spec {spec!r}: {name} takes no parameter")
+        return hard_operator(s) if name == "hard" else soft_operator(s)
+    if name in ("rt", "lq"):
+        try:
+            param = float(arg) if arg else (0.0 if name == "rt" else 2.0 / 3.0)
+        except ValueError:
+            raise InvalidParameterError(
+                f"operator spec {spec!r}: parameter {arg!r} is not a number"
+            ) from None
+        return (reciprocal_operator if name == "rt" else lq_operator)(s, param)
     raise InvalidParameterError(f"unknown operator spec {spec!r}")

@@ -58,7 +58,9 @@ class DesignSpec:
     1, d) exactly; requires n >= d.  adversarial-block plants a small feature
     block whose covariance has its soft direction aligned with the
     hard-thresholding trap witness, Gram-corrected exactly on the block;
-    remaining features are iid.  Both need a finite ``kappa >= 1``.
+    remaining features are iid.  Both need a finite ``kappa >= 1``.  The
+    block holds ``block_size`` features (8 when None), a positive even
+    number at most min(n, d); other designs ignore ``block_size``.
     """
 
     kind: str
@@ -79,10 +81,17 @@ class DesignSpec:
             raise InfeasibleSpecError(f"kappa={self.kappa} must be finite and >= 1")
         if self.kind == "correlated-gaussian" and self.n < self.d:
             raise InfeasibleSpecError("correlated design needs n >= d")
-        if self.kind == "adversarial-block":
-            b = self.block_size or 8
-            if b % 2 or b > self.d or b > self.n:
-                raise InfeasibleSpecError("block size must be even and fit in (n, d)")
+        b = self.block
+        if self.kind == "adversarial-block" and not (0 < b <= min(self.n, self.d) and b % 2 == 0):
+            raise InfeasibleSpecError(
+                f"block size {b} must be a positive even number at most min(n, d) = "
+                f"{min(self.n, self.d)}"
+            )
+
+    @property
+    def block(self) -> int:
+        """The adversarial block's size: ``block_size``, or 8 when it is None."""
+        return 8 if self.block_size is None else self.block_size
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,8 @@ def generate_instance(spec: DesignSpec, s0: int, sigma: float, seed: int) -> Reg
     """
     if s0 > spec.d or s0 < 1:
         raise InfeasibleSpecError(f"s0={s0} out of range for d={spec.d}")
+    if spec.kind == "adversarial-block" and s0 > spec.block:
+        raise InfeasibleSpecError(f"s0={s0} exceeds the block size {spec.block}")
     rng = np.random.default_rng(seed)
     n, d = spec.n, spec.d
     block_alpha = block_beta = None
@@ -180,7 +191,7 @@ def generate_instance(spec: DesignSpec, s0: int, sigma: float, seed: int) -> Reg
         X = _exact_gram_columns(G, Sigma, n)
         position_pool = d
     else:  # adversarial-block
-        b = spec.block_size or 8
+        b = spec.block
         Sigma_b = _block_covariance(b, spec.kappa)
         G = rng.standard_normal((n, d))
         X = np.concatenate(

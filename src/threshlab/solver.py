@@ -18,16 +18,16 @@ sparse iterates of a thresholding or lasso fit need.  The solver asks for f
 and its gradient together (``value_and_grad``), one Hessian product per
 evaluated point.
 
-Step sizes: fixed eta = 1/beta, or backtracking from a large initial step,
-halving until the curvature condition
+Step sizes: fixed eta = 1/beta, or backtracking down the fixed ladder
+16/beta, 8/beta, 4/beta, 2/beta, 1/beta until the curvature condition
 
     f(x~) <= f(x) + <x~ - x, grad f(x)> + ||x~ - x||^2 / (2 eta)
 
-holds, with floor 1/beta where the condition is guaranteed.  The accepted
-step therefore never falls below 1/beta.  A run builds this ladder of step
-sizes once (the fixed rule's ladder is the floor alone); each step maps every
-rung's gradient point with one batched operator call and scores the rows in
-order until one passes, so a ladder of k rungs holds k copies of the iterate.
+holds; at the floor 1/beta it is guaranteed, so the accepted step never
+falls below 1/beta.  A run builds its ladder once (the fixed rule's ladder is
+the floor alone); each step maps every rung's gradient point with one batched
+operator call and scores the rows in order until one passes, so a ladder of
+k rungs holds k copies of the iterate.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -233,31 +233,28 @@ class QuadraticObjective:
 class StepRule:
     """Fixed step eta = 1/beta, or backtracking with floor 1/beta.
 
-    Adaptive defaults: eta_init = 16/beta (a power-of-two ladder reaching the
-    floor in four halvings), shrink factor 0.5.  A given eta_init must be a
-    finite positive number.
+    A rule is its ``kind`` alone: the adaptive rule's ladder is always the
+    five power-of-two steps 16/beta, ..., 1/beta (``_ladder``).
+    ``eta_init`` (None, read as 16/beta) and ``shrink`` (0.5) are class
+    constants that describe that ladder to ``perfbench/tracer.py``, which
+    counts backtracks from them; they are not fields, so no rule sets them.
     """
 
     kind: str = "fixed"
-    eta_init: Optional[float] = None
-    shrink: float = 0.5
+    eta_init: ClassVar[Optional[float]] = None
+    shrink: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if self.kind not in ("fixed", "adaptive"):
             raise InvalidParameterError(f"unknown step rule {self.kind!r}")
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidParameterError("shrink factor must be in (0, 1)")
-        # positive tests, so that a NaN fails them
-        if self.eta_init is not None and not 0.0 < self.eta_init < math.inf:
-            raise InvalidParameterError(f"eta_init={self.eta_init} must be finite and positive")
 
     @classmethod
     def fixed(cls) -> "StepRule":
         return cls("fixed")
 
     @classmethod
-    def adaptive(cls, eta_init: Optional[float] = None, shrink: float = 0.5) -> "StepRule":
-        return cls("adaptive", eta_init, shrink)
+    def adaptive(cls) -> "StepRule":
+        return cls("adaptive")
 
 
 @dataclass
@@ -292,19 +289,13 @@ class IterateTrace:
 
 
 def _ladder(obj, rule) -> np.ndarray:
-    """The step sizes one step tries, largest first: every rung of the
-    adaptive rule above the 1/beta floor (``eta_init``, shrunk by
-    ``rule.shrink`` each rung), then the floor.  The fixed rule's ladder is
-    the floor alone."""
-    floor = 1.0 / obj.beta
-    etas = []
+    """The step sizes one step tries, largest first: 16/beta, 8/beta, 4/beta,
+    2/beta, 1/beta for the adaptive rule, and the floor 1/beta alone for the
+    fixed rule.  Each rung is 2^k / beta, as a loop halving 16/beta would
+    compute it."""
     if rule.kind == "adaptive":
-        eta = rule.eta_init if rule.eta_init is not None else 16.0 / obj.beta
-        while eta > floor:
-            etas.append(eta)
-            eta = max(eta * rule.shrink, floor)
-    etas.append(floor)
-    return np.asarray(etas)
+        return 2.0 ** np.arange(4, -1, -1) / obj.beta
+    return np.asarray([1.0 / obj.beta])
 
 
 def _step(obj, x, fx, gx, step_map, etas):
@@ -345,7 +336,9 @@ def _finite(fx: float, where: str) -> float:
 def _run(obj, step_map, x0, rule, T, stop=None) -> IterateTrace:
     """Run T steps of ``_step`` from x0; ``stop(x, grad f(x))`` true ends the
     run early.  A non-finite entry of x0, or a non-finite f at x0 or at an
-    accepted iterate, raises InvalidParameterError."""
+    accepted iterate, raises InvalidParameterError, as does T < 1."""
+    if T < 1:
+        raise InvalidParameterError("T must be >= 1")
     rule = rule or StepRule.fixed()
     x = x0 = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -384,8 +377,6 @@ def iterate_threshold(
     """Run x_t = Psi_s(x_{t-1} - eta_t grad f(x_{t-1})) for T steps."""
     if np.count_nonzero(np.asarray(x0, dtype=float)) > op.s:
         raise InvalidParameterError("x0 must be s-sparse")
-    if T < 1:
-        raise InvalidParameterError("T must be >= 1")
     return _run(obj, lambda V, etas: op(V), x0, rule, T)
 
 
@@ -404,8 +395,6 @@ def iterate_prox(
     """
     if not lam >= 0:  # a positive test, so that a NaN fails it
         raise InvalidParameterError(f"lam={lam} must be a nonnegative number")
-    if T < 1:
-        raise InvalidParameterError("T must be >= 1")
 
     def kkt_met(x, gx):
         return kkt_residual_l1(obj, x, lam, gx) <= kkt_tol

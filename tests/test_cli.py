@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from threshlab.cli import main
+from threshlab.cli import build_parser, main
 
 
 def read_csv(path):
@@ -181,8 +181,56 @@ def test_lowrank_demo(tmp_path):
     assert len(rows) == 10
 
 
+# one fast line per subcommand, and the flags each ignores; validate's
+# header is checked in test_validate_passes, which runs it anyway
+HEADER_LINES = {
+    "concavity-curve": ("concavity-curve --rho-grid 0.1:0.9:0.1", {"seed"}),
+    "converge": ("converge --iters 3 --step adaptive", set()),
+    "trap": ("trap --rho 0.5", {"seed"}),
+    "prox-trap": ("prox-trap --dim 2", set()),
+    "regress-iid": ("regress --n 40 --d 50 --reps 1 --iters 5", {"block_size"}),
+    "regress-block": (
+        "regress --design adversarial-block --kappa 2 --n 40 --d 50 --s0 2 --reps 1 --iters 5",
+        set(),
+    ),
+    "lowrank-demo": ("lowrank-demo --iters 3", set()),
+}
+
+
+def _flags_read(command, ignored):
+    """The dests of ``command``'s flags that its CSV header must record."""
+    _, commands = build_parser()
+    dests = {a.dest for a in commands[command]._actions} - {"help", "out", "config"}
+    return dests - ignored
+
+
+@pytest.mark.parametrize("line, ignored", HEADER_LINES.values(), ids=HEADER_LINES.keys())
+def test_header_holds_every_flag_the_command_reads(tmp_path, line, ignored):
+    header, _, _ = run_csv(tmp_path, line)
+    command = line.split()[0]
+    assert header["command"] == command
+    assert _flags_read(command, ignored) <= header.keys()
+    assert ignored.isdisjoint(header)
+
+
+def test_regress_headers_differ_when_the_data_do(tmp_path):
+    # --iters changes every fit and --block-size the block design, so two
+    # runs that differ only there must not write the same header
+    def header(line, name):
+        return run_csv(tmp_path, line, name)[0]
+
+    base = "regress --n 40 --d 50 --s0 2 --reps 1"
+    iters5, iters50 = header(f"{base} --iters 5", "i5.csv"), header(f"{base} --iters 50", "i50.csv")
+    assert (iters5["iters"], iters50["iters"]) == ("5", "50")
+    block = f"{base} --design adversarial-block --kappa 2 --iters 5"
+    b4, b8 = header(f"{block} --block-size 4", "b4.csv"), header(f"{block} --block-size 8", "b8.csv")
+    assert (b4["block_size"], b8["block_size"]) == ("4", "8")
+    assert header(f"{base} --iters 5 --block-size 4", "iid4.csv") == iters5
+
+
 def test_validate_passes(tmp_path, capsys):
-    _, columns, rows = run_csv(tmp_path, "validate")
+    header, columns, rows = run_csv(tmp_path, "validate")
+    assert header == {"command": "validate", "seed": "0"}
     assert all(r[columns.index("passed")] == "1" for r in rows)
     # stdout adds each check's time; the CSV has none, so it stays reproducible
     printed = capsys.readouterr().out.splitlines()
@@ -215,6 +263,20 @@ def test_error_exit_code(tmp_path, capsys):
         assert main(curve) == 1
         assert f"error: bad rho grid '{spec}', expected finite" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+    # an operator parameter hard would drop is refused
+    assert main(["converge", "--operator", "hard:5", "--out", str(tmp_path / "h.csv")]) == 1
+    assert "error: operator spec 'hard:5': hard takes no parameter" in capsys.readouterr().err
+    # a block that cannot hold the planted support, or is not a positive
+    # even size, is refused in the design's terms
+    block = "regress --design adversarial-block --kappa 4 --n 50 --d 60 --reps 1".split()
+    for flags, message in [
+        (["--s0", "5", "--block-size", "4"], "error: s0=5 exceeds the block size 4"),
+        (["--block-size", "0"], "error: block size 0 must be a positive even number"),
+        (["--block-size", "-2"], "error: block size -2 must be a positive even number"),
+    ]:
+        assert main(block + flags + ["--out", str(tmp_path / "b.csv")]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists() and not (tmp_path / "b.csv").exists()
     # a descending grid with a negative step still works
     _, _, rows = run_csv(tmp_path, "concavity-curve --rho-grid 0.9:0.1:-0.2", "down.csv")
     assert [float(r[0]) for r in rows] == pytest.approx([0.9, 0.7, 0.5, 0.3, 0.1])

@@ -207,6 +207,28 @@ class TestMatrixSolver:
             ok, detail = check_theorem7_run(obj, lifted, StepRule.adaptive(), 50, gamma)
             assert ok, detail
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises_before_any_svd(self, bad):
+        # one policy for every non-finite entry: the lift, the rank and the
+        # matrix solver raise InvalidParameterError, never numpy's LinAlgError
+        X = np.eye(4)
+        X[1, 2] = bad
+        lifted = LiftedOperator(hard_operator(2))
+        for call in (lambda: lifted(X), lambda: lifted(np.stack([np.eye(4), X])),
+                     lambda: numerical_rank(X)):
+            with pytest.raises(InvalidParameterError, match="NaN or infinite entry"):
+                call()
+        obj = QuadraticObjective.random_instance((4, 4), 1.0, 2.0, np.random.default_rng(13))
+        with pytest.raises(InvalidParameterError, match="NaN or infinite entry"):
+            iterate_threshold_matrix(obj, lifted, X, None, 2)
+
+    def test_input_without_two_axes_refused(self):
+        lifted = LiftedOperator(hard_operator(1))
+        for Z in (np.ones(4), np.float64(2.0)):
+            for call in (lambda: lifted(Z), lambda: numerical_rank(Z)):
+                with pytest.raises(InvalidParameterError, match="at least two axes"):
+                    call()
+
     def test_transposed_start_refused(self):
         obj = QuadraticObjective.random_instance((5, 4), 1.0, 2.0, np.random.default_rng(12))
         with pytest.raises(InvalidParameterError):

@@ -601,8 +601,21 @@ def test_parse_operator():
     assert parse_operator("rt:0.5", 3).shrink.param == 0.5
     assert parse_operator("lq:0.4", 3).shrink.param == 0.4
     assert parse_operator("rt", 3).shrink.param == 0.0
+    assert parse_operator("rt:", 3).shrink.param == 0.0
+    assert parse_operator("lq", 3).shrink.param == 2.0 / 3.0
     with pytest.raises(InvalidParameterError):
         parse_operator("scad", 3)
+    # a parameter hard or soft would drop, or one that is not a number, is
+    # refused with the spec named
+    for spec in ("hard:5", "soft:0.3", "hard:"):
+        with pytest.raises(InvalidParameterError, match=f"'{spec}': .* takes no parameter"):
+            parse_operator(spec, 3)
+    for spec in ("rt:abc", "lq:q", "rt:0.5:1"):
+        with pytest.raises(InvalidParameterError, match=f"'{spec}': parameter .* is not a number"):
+            parse_operator(spec, 3)
+    for spec in ("rt:nan", "rt:2", "lq:1"):
+        with pytest.raises(InvalidParameterError, match="parameter"):
+            parse_operator(spec, 3)
 
 
 def test_operator_objects():

@@ -59,6 +59,27 @@ class TestGenerateInstance:
         # support planted inside the block
         assert np.all(np.flatnonzero(inst.theta0) < b)
 
+    def test_block_size_must_be_positive_even_and_fit(self):
+        # only None means the default 8; 0 is refused, not read as None
+        assert DesignSpec("adversarial-block", 50, 20, kappa=2.0).block == 8
+        assert DesignSpec("adversarial-block", 50, 20, kappa=2.0, block_size=20).block == 20
+        for b in (0, -2, -3, 7, 22):
+            with pytest.raises(InfeasibleSpecError, match=f"block size {b} must be a positive even"):
+                DesignSpec("adversarial-block", 50, 20, kappa=2.0, block_size=b)
+        with pytest.raises(InfeasibleSpecError, match=r"at most min\(n, d\) = 6"):
+            DesignSpec("adversarial-block", 6, 20, kappa=2.0, block_size=8)
+        # a block size is ignored by the other designs
+        assert DesignSpec("iid-gaussian", 50, 20, block_size=0).block == 0
+
+    def test_planted_support_must_fit_in_the_block(self):
+        spec = DesignSpec("adversarial-block", 50, 20, kappa=2.0, block_size=4)
+        inst = generate_instance(spec, 4, 1.0, seed=0)
+        assert np.count_nonzero(inst.theta0[:4]) == 4
+        with pytest.raises(InfeasibleSpecError, match="s0=5 exceeds the block size 4"):
+            generate_instance(spec, 5, 1.0, seed=0)
+        with pytest.raises(InfeasibleSpecError, match="s0=9 exceeds the block size 8"):
+            generate_instance(DesignSpec("adversarial-block", 50, 20, kappa=2.0), 9, 1.0, 0)
+
     def test_infeasible_specs(self):
         with pytest.raises(InfeasibleSpecError):
             DesignSpec("correlated-gaussian", 50, 80, kappa=2.0)  # n < d

@@ -1,5 +1,6 @@
 """Solver tests: gradients, line search, guarantee checks, prox, oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,13 +78,7 @@ class _CountingOperator:
         return self.op(z)
 
 
-def _ladder_rules(beta):
-    return {
-        "fixed": StepRule.fixed(),
-        "default": StepRule.adaptive(),
-        "non-power-of-two": StepRule.adaptive(3.3 / beta, 0.7),
-        "floor-only": StepRule.adaptive(1.0 / beta),
-    }
+_LADDER_RULES = {"fixed": StepRule.fixed(), "default": StepRule.adaptive()}
 
 
 def _ladder_runs(rule):
@@ -97,14 +92,14 @@ def _ladder_runs(rule):
                 (
                     f"vector {spec} seed {seed}",
                     lambda obj=obj, spec=spec: iterate_threshold(
-                        obj, parse_operator(spec, 4), np.zeros(12), rule(obj.beta), 40
+                        obj, parse_operator(spec, 4), np.zeros(12), rule, 40
                     ),
                 )
             )
         runs.append(
             (
                 f"prox seed {seed}",
-                lambda obj=obj: iterate_prox(obj, 0.3, np.zeros(12), rule(obj.beta), 40),
+                lambda obj=obj: iterate_prox(obj, 0.3, np.zeros(12), rule, 40),
             )
         )
         mobj = QuadraticObjective.random_instance((5, 4), 1.0, 3.0, rng)
@@ -115,7 +110,7 @@ def _ladder_runs(rule):
                     mobj,
                     LiftedOperator(reciprocal_operator(2, 0.0)),
                     np.zeros((5, 4)),
-                    rule(mobj.beta),
+                    rule,
                     30,
                 ),
             )
@@ -377,12 +372,38 @@ class TestIterateThreshold:
         with pytest.raises(InvalidParameterError, match="iterate 1 is not finite"):
             iterate_threshold(obj, hard_operator(1), np.zeros(2), rule, 5)
 
-    @pytest.mark.parametrize("eta_init", [0.0, -1.0, math.nan, math.inf])
-    def test_adaptive_rule_rejects_a_bad_initial_step(self, eta_init):
-        # a value <= 0 or NaN would leave only the floor rung, silently
-        # running the fixed rule; +inf would never reach the floor
-        with pytest.raises(InvalidParameterError, match="eta_init"):
-            StepRule.adaptive(eta_init)
+    def test_step_rule_is_its_kind(self):
+        # kind is the one field; eta_init and shrink are class constants that
+        # describe the ladder to the benchmark's tracer, and no rule sets them
+        assert [f.name for f in dataclasses.fields(StepRule)] == ["kind"]
+        for rule in (StepRule.fixed(), StepRule.adaptive()):
+            assert rule.eta_init is None and rule.shrink == 0.5
+        with pytest.raises(TypeError):
+            StepRule("adaptive", 1.0)
+        with pytest.raises(TypeError):
+            StepRule.adaptive(16.0)
+        with pytest.raises(TypeError):
+            StepRule("adaptive", shrink=0.7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            StepRule.adaptive().shrink = 0.7
+        with pytest.raises(InvalidParameterError, match="unknown step rule"):
+            StepRule("armijo")
+
+    def test_every_solver_refuses_fewer_than_one_step(self):
+        obj = QuadraticObjective(np.eye(4), np.zeros(4), np.zeros(4), 1.0, 1.0)
+        mobj = QuadraticObjective(np.eye(4), np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0)
+        lifted = LiftedOperator(hard_operator(1))
+        runs = [
+            lambda T: iterate_threshold(obj, hard_operator(2), np.zeros(4), None, T),
+            lambda T: iterate_prox(obj, 0.1, np.zeros(4), None, T),
+            lambda T: iterate_threshold_matrix(mobj, lifted, np.zeros((2, 2)), None, T),
+            lambda T: solver._run(obj, lambda V, etas: V, np.zeros(4), None, T),
+        ]
+        for run in runs:
+            for T in (0, -3):
+                with pytest.raises(InvalidParameterError, match="T must be >= 1"):
+                    run(T)
+            assert len(run(1).fs) == 1
 
     def test_requires_sparse_start(self):
         obj = QuadraticObjective(np.eye(3), np.zeros(3), np.zeros(3), 1.0, 1.0)
@@ -422,11 +443,9 @@ class TestIterateThreshold:
 class TestStepLadder:
     """``_step`` maps its whole ladder of step sizes in one operator call."""
 
-    @pytest.mark.parametrize("which", ["fixed", "default", "non-power-of-two", "floor-only"])
+    @pytest.mark.parametrize("which", ["fixed", "default"])
     def test_matches_the_sequential_reference_bit_for_bit(self, which, monkeypatch):
-        def rule(beta):
-            return _ladder_rules(beta)[which]
-
+        rule = _LADDER_RULES[which]
         batched = [(name, run()) for name, run in _ladder_runs(rule)]
         monkeypatch.setattr(solver, "_step", _sequential_step)
         for (name, got), (_, run) in zip(batched, _ladder_runs(rule)):
@@ -436,13 +455,22 @@ class TestStepLadder:
             assert np.array_equal(got.etas, want.etas), name
             assert np.array_equal(got.backtracks, want.backtracks), name
 
-    @pytest.mark.parametrize("which", ["fixed", "default", "non-power-of-two", "floor-only"])
+    @pytest.mark.parametrize("which", ["fixed", "default"])
     def test_ladder_is_the_backtracking_sequence(self, which):
         obj = QuadraticObjective(np.diag([1.0, 3.0]), np.zeros(2), np.zeros(2), 1.0, 3.0)
-        rule = _ladder_rules(obj.beta)[which]
+        rule = _LADDER_RULES[which]
         want = _reference_ladder(obj.beta, rule)
         assert solver._ladder(obj, rule).tolist() == want
-        assert len(want) == {"fixed": 1, "default": 5, "non-power-of-two": 5, "floor-only": 1}[which]
+        assert len(want) == {"fixed": 1, "default": 5}[which]
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 0.7, 7.3, 1e-3, 1e-300, 1e300])
+    def test_ladder_is_powers_of_two_over_beta_bit_for_bit(self, beta):
+        obj = QuadraticObjective(beta * np.eye(2), np.zeros(2), np.zeros(2), beta, beta)
+        adaptive = solver._ladder(obj, StepRule.adaptive())
+        assert np.array_equal(adaptive, np.array([16.0, 8.0, 4.0, 2.0, 1.0]) / beta)
+        assert adaptive.tolist() == _reference_ladder(beta, StepRule.adaptive())
+        fixed = solver._ladder(obj, StepRule.fixed())
+        assert fixed.tolist() == [1.0 / beta] == _reference_ladder(beta, StepRule.fixed())
 
     def test_backtracks_index_the_accepted_rung(self):
         rng = np.random.default_rng(41)
