@@ -100,8 +100,10 @@ def cmd_concavity_curve(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    alpha, beta = 1.0, _checked_kappa(args.kappa)
+    if not 1 <= args.s_prime <= args.sparsity:
+        raise ValueError(f"s_prime={args.s_prime} must be in [1, sparsity={args.sparsity}]")
     rng = np.random.default_rng(args.seed)
-    alpha, beta = 1.0, float(args.kappa)
     obj = QuadraticObjective.random_instance(
         args.dim, alpha, beta, rng, linear_scale=0.5
     )
@@ -133,6 +135,8 @@ def cmd_converge(args) -> int:
 
 def cmd_trap(args) -> int:
     s = args.sparsity
+    if not 0.0 < args.rho <= 1.0:
+        raise ValueError(f"rho={args.rho} must be in (0, 1]")
     s_prime = max(int(round(args.rho * s)), 1)
     query = ConcavityQuery(s, s_prime)
     op = parse_operator(args.operator, s)
@@ -227,6 +231,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_lowrank_demo(args) -> int:
+    kappa = _checked_kappa(args.kappa)
     rng = np.random.default_rng(args.seed)
     base = parse_operator(args.operator, args.rank)
     lifted = LiftedOperator(base)
@@ -237,7 +242,7 @@ def cmd_lowrank_demo(args) -> int:
     eckart_young_gap = float(np.linalg.norm(one_step - A))
     query = MatrixConcavityQuery(args.n, args.m, args.rank, args.rank_prime)
     report = empirical_matrix_concavity(lifted, query, budget=100, seed=args.seed)
-    obj = QuadraticObjective.random_instance((args.n, args.m), 1.0, float(args.kappa), rng)
+    obj = QuadraticObjective.random_instance((args.n, args.m), 1.0, kappa, rng)
     trace = iterate_threshold_matrix(
         obj, lifted, np.zeros((args.n, args.m)), StepRule.fixed(), args.iters
     )

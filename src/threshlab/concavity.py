@@ -17,10 +17,12 @@ closed-form derivations, and the universal lower-bound witness valid for any
 operator.
 
 The ratio is written once, in the batched kernel ``_ratios``; the vector
-search, the matrix search in ``lowrank`` and the trap builder in
-``adversarial`` all evaluate it there.  ``concavity_ratio`` ravels its
-inputs, so with a lifted operator it gives the Frobenius ratio of matrices,
-which by the lifting lemma is the rank-constrained concavity ratio.
+search and the trap builder in ``adversarial`` evaluate it there, and the
+matrix search in ``lowrank``, which is the vector search read through the
+lift, re-scores its embedded witness there through ``_collect``.
+``concavity_ratio`` ravels its inputs, so with a lifted operator it gives
+the Frobenius ratio of matrices, which by the lifting lemma is the
+rank-constrained concavity ratio.
 """
 
 from __future__ import annotations
@@ -297,7 +299,8 @@ def empirical_concavity(
     and z, with a step of 0.5 shrinking by 0.9 per full sweep.
     Deterministic given the seed; restarts are independent and merged by
     maximum with first-index tie-break, so any parallel schedule would give
-    the same answer.
+    the same answer.  A negative ``budget`` or ``ascent_steps`` raises
+    InvalidParameterError.
 
     Every candidate is evaluated through the exact ratio, so the result can
     never exceed the true supremum; for hard / reciprocal / l_q kinds the
@@ -313,6 +316,9 @@ def empirical_concavity(
     d, s, sp = query.dim, query.s, query.s_prime
     if op.s != s:
         raise InvalidParameterError("operator sparsity must match the query")
+    for name, size in (("budget", budget), ("ascent_steps", ascent_steps)):
+        if size < 0:
+            raise InvalidParameterError(f"{name}={size} must be >= 0")
     rng = np.random.default_rng(seed)
 
     candidates = _structured_candidates(op, query)

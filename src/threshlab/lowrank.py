@@ -6,9 +6,9 @@ X = U diag(d) V'.  The lifted operator inherits the vector operator's
 relative concavity exactly, and the solver guarantees carry over with
 Frobenius geometry in place of the Euclidean one.
 
-The lift accepts stacks of matrices, so the matrix concavity search lifts a
-whole batch with one batched SVD and scores it with the vector module's
-ratio kernel over the flattened matrices.
+The lift accepts one matrix or a stack.  The matrix concavity search needs
+no loop of its own: it runs the vector search and reads its witness
+through the lift, embedded as diagonal matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .concavity import (
     ConcavityQuery,
     ConcavityReport,
     _collect,
-    _ratios,
     best_report,
     closed_form_gamma,
     empirical_concavity,
@@ -109,74 +108,24 @@ def empirical_matrix_concavity(
 ) -> ConcavityReport:
     """Empirical maximization of the matrix concavity ratio.
 
-    Seeds the search with the diagonal embedding of the better exact vector
-    witness family (``empirical_concavity`` at budget 0, which attains the
-    vector supremum; by the lifting equality the matrix supremum is the
-    same), then ``budget`` (at most 200) seeded random rank-s' factor pairs
-    refined by batched coordinate ascent.
+    By the lifting result the lifted operator's relative concavity equals
+    the vector operator's, and a diagonal embedding keeps a vector pair's
+    ratio, so the matrix search is the vector search read through the lift:
+    ``empirical_concavity`` at d = min(n, m), given this ``budget`` of
+    restarts (no cap; a negative one is refused there) and this ``seed``,
+    whose witness is embedded with ``embed_diag`` and re-scored through the
+    lift, so ``empirical_max`` is an honest matrix ratio.
     """
     n, m, s, sp = query.n, query.m, query.s, query.s_prime
     if lifted.base.s != s:
         raise InvalidParameterError("operator rank must match the query")
-    rng = np.random.default_rng(seed)
-    p = min(n, m)
-
+    vec_report = empirical_concavity(
+        lifted.base, ConcavityQuery(s, sp, d=min(n, m)), budget=budget, seed=seed
+    )
+    Y = embed_diag(vec_report.witness_y, n, m)
+    Z = embed_diag(vec_report.witness_z, n, m)
     candidates = []
-
-    def ratios(Y, Z, X):
-        b = Z.shape[0]
-        return _ratios(Y.reshape(b, -1), Z.reshape(b, -1), X.reshape(b, -1))
-
-    # diagonal embedding of the vector witness (vector witnesses transfer
-    # exactly: svd of a padded identity-like diagonal is the identity)
-    vec_report = empirical_concavity(lifted.base, ConcavityQuery(s, sp, d=p), budget=0)
-    Z_vec = embed_diag(vec_report.witness_z, n, m)
-    _collect(candidates, embed_diag(vec_report.witness_y, n, m)[None], Z_vec, lifted(Z_vec))
-
-    if budget > 0:
-        nb = min(budget, 200)
-        A = rng.standard_normal((nb, n, sp))
-        B = rng.standard_normal((nb, m, sp))
-        Z = rng.standard_normal((nb, n, m))
-        Y = np.einsum("bik,bjk->bij", A, B)
-        # Y = A B' and X = lifted(Z) are kept between trials: the lift acts
-        # matrix by matrix, so factor trials reuse X, Z trials reuse Y, and
-        # each trial copies its improved matrices back
-        X = lifted(Z)
-        best = ratios(Y, Z, X)
-        step = 0.5
-        for k in range(200):
-            step_k = step * 0.9 ** (k // 8)
-            for sign in (1.0, -1.0):
-                which = k % 3
-                if which == 0:
-                    A_t = A + sign * step_k * rng.standard_normal(A.shape) / np.sqrt(n)
-                    Y_t = np.einsum("bik,bjk->bij", A_t, B)
-                    Z_t, X_t = Z, X
-                elif which == 1:
-                    B_t = B + sign * step_k * rng.standard_normal(B.shape) / np.sqrt(m)
-                    Y_t = np.einsum("bik,bjk->bij", A, B_t)
-                    Z_t, X_t = Z, X
-                else:
-                    Z_t = Z + sign * step_k * rng.standard_normal(Z.shape) / np.sqrt(n * m)
-                    X_t = lifted(Z_t)
-                    Y_t = Y
-                trial = ratios(Y_t, Z_t, X_t)
-                improve = trial > best
-                if which == 0:
-                    A[improve] = A_t[improve]
-                    Y[improve] = Y_t[improve]
-                elif which == 1:
-                    B[improve] = B_t[improve]
-                    Y[improve] = Y_t[improve]
-                else:
-                    Z[improve] = Z_t[improve]
-                    X[improve] = X_t[improve]
-                best = np.where(improve, trial, best)
-        kb = int(np.argmax(best))
-        if np.isfinite(best[kb]):
-            _collect(candidates, (A[kb] @ B[kb].T)[None], Z[kb], lifted(Z[kb]))
-
+    _collect(candidates, Y[None], Z, lifted(Z))
     return best_report(candidates, closed_form_gamma(lifted.base, query.rho), lifted)
 
 

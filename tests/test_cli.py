@@ -256,7 +256,13 @@ def test_error_exit_code(tmp_path, capsys):
             assert f"kappa={float(kappa)} must be finite and >= 1" in capsys.readouterr().err
     assert main(["trap", "--kappa", "0", "--out", str(tmp_path / "t.csv")]) == 1
     assert "kappa=0.0 must be finite and >= 1" in capsys.readouterr().err
+    # and by the two commands that draw a random quadratic at that kappa
+    for command in ("converge", "lowrank-demo"):
+        for kappa in ("0.5", "nan", "inf"):
+            assert main([command, "--kappa", kappa, "--out", str(tmp_path / "q.csv")]) == 1
+            assert f"kappa={float(kappa)} must be finite and >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "q.csv").exists()
     # a rho grid with a zero step or a part that is not finite says so
     for spec in ("0.1:0.5:0", "0.1:0.5:nan", "nan:0.5:0.1", "0.1:inf:0.1", "0.9:-inf:-0.1"):
         curve = ["concavity-curve", "--rho-grid", spec, "--out", str(tmp_path / "c.csv")]
@@ -285,6 +291,26 @@ def test_error_exit_code(tmp_path, capsys):
         line = f"regress --design iid-gaussian --kappa {kappa} --reps 1 --n 40 --d 50"
         header, _, _ = run_csv(tmp_path, line, f"iid-{kappa}.csv")
         assert header["kappa"] == "1"
+
+
+def test_sparsity_pair_out_of_range_refused(tmp_path, capsys):
+    # trap's --rho outside (0, 1] and converge's --s-prime outside
+    # [1, --sparsity] are refused, for every operator, before anything is written
+    for rho in ("nan", "-1", "0", "1.5"):
+        assert main(["trap", "--rho", rho, "--out", str(tmp_path / "t.csv")]) == 1
+        assert f"error: rho={float(rho)} must be in (0, 1]" in capsys.readouterr().err
+    for operator in ("rt:0", "hard"):
+        for s_prime in ("7", "0", "-1"):
+            converge = ["converge", "--operator", operator, "--sparsity", "6"]
+            converge += ["--s-prime", s_prime, "--out", str(tmp_path / "s.csv")]
+            assert main(converge) == 1
+            message = f"error: s_prime={s_prime} must be in [1, sparsity=6]"
+            assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "s.csv").exists()
+    # the ends of both ranges are accepted
+    assert main(["trap", "--rho", "1", "--out", str(tmp_path / "t.csv")]) == 0
+    converge = "converge --sparsity 6 --s-prime 6 --iters 2 --operator hard".split()
+    assert main(converge + ["--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

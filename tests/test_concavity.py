@@ -291,6 +291,17 @@ class TestEmpiricalConcavity:
             # family A's scale t = 1/sqrt(rho), with no search error
             assert report.witness_y[np.nonzero(report.witness_y)].tolist() == [math.sqrt(2.0)] * 2
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"budget": -5}, "budget=-5 must be >= 0"),
+            ({"ascent_steps": -3}, "ascent_steps=-3 must be >= 0"),
+        ],
+    )
+    def test_negative_search_sizes_refused(self, sizes, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            empirical_concavity(hard_operator(2), ConcavityQuery(2, 1), **sizes)
+
     def test_custom_operator_lower_estimate(self):
         table = ShrinkageFunction.from_table([1.0, 2.0, 20.0], [0.4, 0.3, 0.05])
         op = ThresholdingOperator(3, table)

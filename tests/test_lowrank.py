@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from threshlab.concavity import ConcavityQuery, concavity_ratio, gamma_hard, gamma_reciprocal
+from threshlab.concavity import (
+    ConcavityQuery,
+    _ratios,
+    closed_form_gamma,
+    concavity_ratio,
+    gamma_hard,
+    gamma_reciprocal,
+)
 from threshlab.lowrank import (
     LiftedOperator,
     MatrixConcavityQuery,
@@ -18,6 +25,7 @@ from threshlab.operators import (
     InvalidParameterError,
     hard_operator,
     lq_operator,
+    parse_operator,
     reciprocal_operator,
 )
 from threshlab.solver import Gram, QuadraticObjective, StepRule
@@ -152,6 +160,50 @@ class TestEmpiricalMatrixConcavity:
         )
         rm = concavity_ratio(report.witness_y, report.witness_z, lifted)
         assert abs(rm - report.ratio_at_witness) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["hard", "rt:0", "rt:0.5", "lq:0.4"])
+    @pytest.mark.parametrize("n, m, s, sp", [(6, 6, 2, 1), (8, 8, 3, 1)])
+    def test_no_matrix_pair_beats_the_closed_form(self, spec, n, m, s, sp):
+        # the lifting result's upper direction, on the non-diagonal pairs the
+        # search no longer tries: (a) random rank-s' pairs Y = A B' with a
+        # random Z, and (b) the embedded witness with the factors of Y and
+        # the entries of Z perturbed by eps times a standard normal
+        lifted = LiftedOperator(parse_operator(spec, s))
+        query = MatrixConcavityQuery(n, m, s, sp)
+        cf = closed_form_gamma(lifted.base, query.rho)
+        rng = np.random.default_rng(0)
+
+        def best(A, B, Z):
+            k = Z.shape[0]
+            Y = np.einsum("bik,bjk->bij", A, B)
+            return _ratios(Y.reshape(k, -1), Z.reshape(k, -1), lifted(Z).reshape(k, -1)).max()
+
+        k = 2000
+        scores = [
+            best(
+                rng.standard_normal((k, n, sp)),
+                rng.standard_normal((k, m, sp)),
+                rng.standard_normal((k, n, m)),
+            )
+        ]
+        report = empirical_matrix_concavity(lifted, query, budget=0)
+        U, sv, Vt = np.linalg.svd(report.witness_y)
+        A0, B0 = U[:, :sp] * sv[:sp], Vt[:sp].T
+        k = 500
+        for eps in (1e-1, 1e-2, 1e-3):
+            scores.append(
+                best(
+                    A0 + eps * rng.standard_normal((k, n, sp)),
+                    B0 + eps * rng.standard_normal((k, m, sp)),
+                    report.witness_z + eps * rng.standard_normal((k, n, m)),
+                )
+            )
+        assert max(scores) <= cf + 1e-9, (cf, scores)
+
+    def test_negative_budget_refused(self):
+        lifted = LiftedOperator(hard_operator(2))
+        with pytest.raises(InvalidParameterError, match="budget=-5 must be >= 0"):
+            empirical_matrix_concavity(lifted, MatrixConcavityQuery(6, 6, 2, 1), budget=-5)
 
     def test_query_validation(self):
         with pytest.raises(InvalidParameterError):
